@@ -8,6 +8,9 @@ as GPU-PF's binary cache would in a long-running application (§4.3).
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -81,6 +84,21 @@ def timed(fn, *args, **kwargs) -> Tuple[float, object]:
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
     return time.perf_counter() - t0, result
+
+
+def bench_header() -> Dict[str, object]:
+    """Provenance for a BENCH file: the commit (``-dirty`` when the
+    tree had local changes), core count, and interpreter versions."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {"git_sha": sha, "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__}
 
 
 def write_bench_json(filename: str, payload: Dict) -> Path:

@@ -18,7 +18,7 @@ an :class:`AppHarness` that speaks one picklable vocabulary:
 :func:`run_request` is the single entry point: it builds a fresh
 :class:`~repro.runtime.context.ExecutionContext` for the request's
 device, re-installs the seeded fault injector from the shipped plan
-(the chaos-under-process-pool contract — hooks are context state and
+(the chaos-on-worker-processes contract — hooks are context state and
 never survive into a spawned worker by themselves), and executes under
 that context.  Identical requests therefore produce bit-identical
 results whether evaluated inline, on a thread, or in a spawned
@@ -140,7 +140,7 @@ class RunResult:
     metrics: Optional[Dict[str, object]] = None
     #: Per-launch :class:`~repro.obs.LaunchProfile` records in launch
     #: order (traced requests only) — frozen scalar dataclasses, so
-    #: they survive pickling back from process-pool workers.
+    #: they survive pickling back from worker processes.
     profiles: List[object] = field(default_factory=list)
     #: True when the evaluation ran pre-degraded to RE
     #: (``RunRequest.degrade`` — e.g. dispatched under an open serve
@@ -249,12 +249,14 @@ class TemplateMatchingHarness(AppHarness):
     def execute(self, spec, config, context=None) -> RunResult:
         ctx = context or current_context()
         frame, template = self.make_inputs(spec)
-        matcher = TemplateMatcher(spec.problem, template, config,
-                                  gpu=self._gpu(spec, ctx), context=ctx)
-        r = matcher.match(frame)
+        with TemplateMatcher(spec.problem, template, config,
+                             gpu=self._gpu(spec, ctx),
+                             context=ctx) as matcher:
+            r = matcher.match(frame)
+            reg_count = matcher.numerator_reg_count()
         return RunResult(app=self.app, seconds=r.kernel_seconds,
                          transfer_seconds=r.transfer_seconds,
-                         reg_count=matcher.numerator_reg_count(),
+                         reg_count=reg_count,
                          output=r.ncc if config.functional else None)
 
 
@@ -317,7 +319,7 @@ def run_request(request: RunRequest,
                 context: Optional[ExecutionContext] = None) -> RunResult:
     """Evaluate one :class:`RunRequest`; cold by default, warm on reuse.
 
-    With ``context=None`` (the process-pool path) a fresh private
+    With ``context=None`` (the cold path) a fresh private
     context — kernel cache, plan/gang caches, re-seeded fault injector
     — is rebuilt from the request alone, so the result cannot depend on
     which process or thread ran it.

@@ -304,3 +304,16 @@ class TemplateMatcher:
         """Main-region numerator kernel register footprint."""
         self.pipe.refresh()
         return self.numerator_kernels[0].reg_count
+
+    def close(self) -> None:
+        """Drop the pipeline's resources and actions: they point back
+        at the pipeline, a cycle that would keep the GPU and its memory
+        alive until the cyclic GC runs."""
+        self.pipe.resources.clear()
+        self.pipe.actions.clear()
+
+    def __enter__(self) -> "TemplateMatcher":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -22,7 +22,7 @@ from repro.faults.errors import (FAULT_SITES, CacheCorruption,
                                  CompileFault, CompileTimeout,
                                  DeadlineExceeded, DeviceOOM, ECCError,
                                  FaultError, LaunchFault, WatchdogTimeout,
-                                 WorkerCrashError, error_for)
+                                 error_for)
 from repro.faults.hooks import active, clear, injecting, install
 from repro.faults.plan import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.retry import (RetryPolicy, default_should_retry,
@@ -31,7 +31,7 @@ from repro.faults.retry import (RetryPolicy, default_should_retry,
 __all__ = [
     "FAULT_SITES", "FaultError", "CompileFault", "CompileTimeout",
     "CacheCorruption", "LaunchFault", "WatchdogTimeout", "ECCError",
-    "DeviceOOM", "WorkerCrashError", "DeadlineExceeded", "error_for",
+    "DeviceOOM", "DeadlineExceeded", "error_for",
     "FaultPlan", "FaultInjector", "FaultEvent",
     "install", "clear", "active", "injecting",
     "RetryPolicy", "retry_call", "default_should_retry",

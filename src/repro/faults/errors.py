@@ -93,20 +93,6 @@ class DeviceOOM(FaultError):
     transient = False
 
 
-class WorkerCrashError(FaultError):
-    """A pool/service worker process died mid-evaluation.
-
-    Not an *injectable* site (nothing inside the simulator raises it —
-    the process is simply gone), so it is deliberately absent from
-    :data:`SITE_ERRORS`/:data:`FAULT_SITES`.  Transient: redispatching
-    the same hermetic request to a fresh worker is expected to succeed,
-    which is exactly what the serve supervisor's at-most-N-retries
-    contract does.
-    """
-
-    site = "worker.crash"
-
-
 class DeadlineExceeded(Exception):
     """A per-request deadline expired before (or during) the work.
 

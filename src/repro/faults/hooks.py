@@ -1,18 +1,14 @@
 """Fault-injection hook point, scoped by :class:`ExecutionContext`.
 
 Hot paths consult the *current* context's injector — ``None`` unless a
-chaos run installed one — via :func:`active` (or, preferably, via the
-``injector`` attribute of the context they already hold).  The
-disabled-path cost is one attribute load and a ``None`` test, and the
-wired-in sites sit at coarse granularity (per compile, per launch, per
-gang batch, per allocation), so production runs pay effectively
-nothing.
-
-``hooks.ACTIVE`` remains as a deprecated module-attribute shim (PEP
-562): it resolves to ``current_context().injector``, so legacy readers
-keep working and are automatically scoped — a worker thread or process
-running under its own context sees its own injector, never another
-sweep's.
+chaos run installed one — via the ``injector`` attribute of the
+context they already hold (or :func:`active` when they hold none).
+The disabled-path cost is one attribute load and a ``None`` test, and
+the wired-in sites sit at coarse granularity (per compile, per launch,
+per gang batch, per allocation), so production runs pay effectively
+nothing.  Being context state, the injector is automatically scoped: a
+worker thread or process running under its own context sees its own
+injector, never another sweep's.
 
 Usage::
 
@@ -34,15 +30,6 @@ from repro.faults.plan import FaultInjector, FaultPlan
 def _ctx():
     from repro.runtime.context import current_context
     return current_context()
-
-
-def __getattr__(name: str):
-    # Deprecated shim: ``hooks.ACTIVE`` == the current context's
-    # injector.  New code should carry a context and read
-    # ``ctx.injector`` directly.
-    if name == "ACTIVE":
-        return _ctx().injector
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def install(plan: Union[FaultPlan, FaultInjector]) -> FaultInjector:

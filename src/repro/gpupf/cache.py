@@ -94,7 +94,7 @@ class KernelCache:
             key_src += "".join(f"\n//@{n}\n{headers[n]}"
                                for n in sorted(headers))
         key = cache_key(key_src, defines, arch, opt_level)
-        # Resolved per call, like fault_hooks.ACTIVE below: the cache
+        # Resolved per call, like the fault injector below: the cache
         # may be shared by threads tracing into different contexts.
         from repro.obs.trace import current_tracer
         tracer = current_tracer()
@@ -175,7 +175,7 @@ class KernelCache:
                 raw = fh.read()
         except OSError:
             return None
-        injector = fault_hooks.ACTIVE
+        injector = fault_hooks.active()
         if injector is not None:
             raw = injector.corrupt_bytes("cache.corrupt", raw,
                                          detail=key[:16])
@@ -237,12 +237,3 @@ class KernelCache:
             self.misses = 0
             self.corrupt = 0
             self.latch_timeouts = 0
-
-
-def __getattr__(name: str):
-    # Deprecated shim: ``cache.DEFAULT_CACHE`` is now the current
-    # ExecutionContext's kernel cache, so legacy callers stay scoped.
-    if name == "DEFAULT_CACHE":
-        from repro.runtime.context import current_context
-        return current_context().kernel_cache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.faults import hooks as fault_hooks
 from repro.kernelc import typesys as T
 from repro.kernelc.codegen import CodeGen, CodegenError, CodegenOptions
 from repro.kernelc.ir import IRKernel, IRModule
@@ -121,28 +120,28 @@ def nvcc(source: str,
     Raises:
         CompileError: wrapping any preprocessor/parse/lowering failure.
     """
-    from repro.obs.trace import current_tracer
-    tracer = current_tracer()
+    from repro.runtime.context import current_context
+    ctx = current_context()
+    tracer = ctx.tracer
     if tracer is None:
         return _nvcc_impl(source, defines, arch, opt_level, headers,
-                          unroll, max_unroll)
+                          unroll, max_unroll, ctx.injector)
     with tracer.span("nvcc", "compile", arch=arch,
                      opt_level=opt_level,
                      defines=",".join(sorted(defines or {}))) as span:
         module = _nvcc_impl(source, defines, arch, opt_level, headers,
-                            unroll, max_unroll)
+                            unroll, max_unroll, ctx.injector)
         span.attrs["kernels"] = ",".join(sorted(module.kernels))
         span.attrs["compile_ms"] = module.compile_seconds * 1e3
         return module
 
 
 def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
-               max_unroll) -> CompiledModule:
+               max_unroll, injector) -> CompiledModule:
     """The untraced compile path (see :func:`nvcc`)."""
     if arch not in ARCH_MACROS:
         raise CompileError(f"unknown arch {arch!r}; expected one of "
                            f"{sorted(ARCH_MACROS)}")
-    injector = fault_hooks.ACTIVE
     if injector is not None:
         # Fault sites: a crashed/garbage nvcc invocation and a hung one.
         # The detail string carries the -D names so plans can target

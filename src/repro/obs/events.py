@@ -52,10 +52,8 @@ EVENT_KINDS: Dict[str, tuple] = {
     "worker.kill": ("worker", "why"),
     "redispatch": ("request", "attempts"),
     "deadline.kill": ("request", "worker"),
-    # fleet
+    # fleet (its worker deaths are the service's worker.exit/redispatch)
     "fleet.place": ("member", "policy"),
-    "fleet.worker_crash": ("member",),
-    "fleet.redispatch": ("member", "request"),
     # engine / cache
     "trace.deopt": ("kernel", "deopts"),
     "cache.quarantine": ("path",),

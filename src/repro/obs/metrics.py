@@ -158,7 +158,7 @@ class MetricsRegistry:
         (count, sum, min, max) summaries and add bucket counts (when
         the snapshot carries a ``buckets`` section — pre-bucket
         snapshots merge summaries only).  Used to aggregate metrics
-        shipped back from process-pool workers.
+        shipped back from worker processes.
         """
         with self._lock:
             for name, v in (snapshot.get("counters") or {}).items():

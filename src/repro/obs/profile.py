@@ -10,7 +10,7 @@ traffic), and the Hong-&-Kim-style modeled time from
 (``attrs``) and to ``tracer.profiles``.
 
 Profiles are frozen dataclasses of plain scalars: picklable (they ride
-:class:`~repro.apps.harness.RunResult` back from process-pool workers)
+:class:`~repro.apps.harness.RunResult` back from worker processes)
 and JSON-friendly via :meth:`attrs`.  This module deliberately imports
 nothing from the rest of :mod:`repro`; the launch result and kernel are
 consumed duck-typed.

@@ -20,9 +20,9 @@ span objects are ever allocated on the disabled path (asserted by
 ``tests/test_obs.py``).
 
 Parenting is per-thread: each thread of a traced context nests its own
-spans, so ``Sweeper(jobs=N)`` worker threads produce disjoint,
-well-formed subtrees.  :meth:`Tracer.to_dict` exports a picklable form
-that survives the process-pool boundary; :meth:`Tracer.graft` folds
+spans, so concurrent threads produce disjoint, well-formed subtrees.
+:meth:`Tracer.to_dict` exports a picklable form that survives the
+worker-process boundary; :meth:`Tracer.graft` folds
 such an export back in as a child subtree (per-cell sweep aggregation).
 """
 

@@ -9,20 +9,18 @@ kernel binary cache, the fault injector, and a per-context stats
 registry — so concurrent sweeps (threads *or* processes) get fully
 independent state.
 
-:class:`DeviceFleet` builds on that scoping to shard one workload
-across N per-device contexts — a fleet of simulated GPUs behind one
-scheduler with placement policies, typed fault semantics, and
-bit-identical result merge (DESIGN.md §12).
+:class:`DeviceFleet` shards one workload across a fleet of simulated
+GPUs: placement policies and modeled accounting over the serve
+subsystem's supervised worker pool, with bit-identical result merge
+(DESIGN.md §12).
 """
 
 from repro.runtime.context import (ENGINES, ExecutionContext,
                                    current_context, default_context,
                                    using_context)
-from repro.runtime.fleet import (FLEET_POOLS, PLACEMENTS, DeviceFleet,
-                                 FleetError, FleetMember,
-                                 FleetPlacementError, FleetWorkerError)
+from repro.runtime.fleet import (PLACEMENTS, DeviceFleet, FleetError,
+                                 FleetMember, FleetPlacementError)
 
 __all__ = ["ExecutionContext", "current_context", "default_context",
            "using_context", "ENGINES", "DeviceFleet", "FleetMember",
-           "FleetError", "FleetPlacementError", "FleetWorkerError",
-           "FLEET_POOLS", "PLACEMENTS"]
+           "FleetError", "FleetPlacementError", "PLACEMENTS"]

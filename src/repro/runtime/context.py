@@ -28,11 +28,11 @@ because sweep delta-accounting and tests depend on them verbatim; the
 namespaced equivalents appear under ``cache.*`` in
 :meth:`metrics_snapshot`.
 
-A process-wide *default* context preserves every legacy entry point:
-module-level shims (``fault_hooks.ACTIVE``, ``plan_cache_stats()``,
-``DEFAULT_CACHE``...) resolve against :func:`current_context`, which is
-the innermost :func:`using_context` on this thread or else the default.
-Sweeps and process workers build their own contexts, so two concurrent
+A process-wide *default* context backs every module-level entry point
+(``fault_hooks.active()``, ``plan_cache_stats()``...): they resolve
+against :func:`current_context`, which is the innermost
+:func:`using_context` on this thread or else the default.  Sweeps and
+worker processes build their own contexts, so two concurrent
 sweeps in one process report fully independent cache/gang counters.
 """
 
@@ -336,9 +336,9 @@ _TLS = threading.local()
 def default_context() -> ExecutionContext:
     """The lazily-created process-wide default context.
 
-    Legacy module-level entry points (``fault_hooks.ACTIVE``,
-    ``DEFAULT_CACHE``, ``plan_cache_stats()``...) resolve here when no
-    scoped context is active on the calling thread.
+    Module-level entry points (``fault_hooks.active()``,
+    ``plan_cache_stats()``...) resolve here when no scoped context is
+    active on the calling thread.
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -1,79 +1,51 @@
 """DeviceFleet: shard one workload across N simulated devices.
 
-The simulator historically modeled one GPU per process; this module
-makes *fleets* of simulated devices a first-class runtime object.  A
-:class:`DeviceFleet` owns N :class:`FleetMember` slots — each one
-device model (any mix of registry keys, e.g. ``["c1060", "c2070",
-"k20"]`` or a homogeneous ``["c2070"] * 4``) with its own queue,
-execution backend, and warm :class:`~repro.runtime.context
-.ExecutionContext` — and shards work across them:
+A :class:`DeviceFleet` is placement plus modeled accounting over the
+serve subsystem's worker pool.  It owns N :class:`FleetMember` slots,
+each one device model (any mix of registry keys, duplicates allowed),
+and runs their work on one
+:class:`~repro.serve.supervisor.SpecializationService` with a worker
+process per member:
 
-* :meth:`run_requests` — a stream of picklable
-  :class:`~repro.apps.harness.RunRequest`\\ s, each placed on a member
-  modeling the request's device;
-* :meth:`map_grid` — a sweep-shaped configuration grid evaluated by a
-  Sweeper-style runner, cells striped across compatible members and
-  merged back in grid order (``Sweeper(fleet=...)`` wires this in
-  transparently).
+* :meth:`run_requests` shards a stream of picklable
+  :class:`~repro.apps.harness.RunRequest`\\ s;
+* :meth:`map_grid` shards a sweep grid (``Sweeper(fleet=...)`` wires
+  this in transparently).
 
-**Placement.**  A request is only *eligible* for members whose device
-model matches its spec (results depend on the device — placement must
-never change an answer, only where it is computed).  Among eligible
-members the policy picks:
+**Placement.**  Work is only *eligible* for members whose device model
+matches it.  Among eligible members, ``least-loaded`` (default) picks
+the fewest in-flight entries, ties to the fewest dispatches, then
+member order; ``round-robin`` stripes them in order; ``affinity`` pins
+identical work to one member by a stable CRC.  Placement decides where
+work is accounted, never what it computes: every evaluation is
+hermetic or warm-path, both bit-identical by the cache contract, so
+merged results equal a sequential single-device run.
 
-* ``least-loaded`` (default) — fewest in-flight entries, ties to the
-  fewest total dispatches, then member order;
-* ``round-robin`` — stripe eligible members in order;
-* ``affinity`` — a stable CRC of the work's identity pins identical
-  work to the same member, maximizing warm-cache reuse.
+**Execution** is the service's: warm per-device worker contexts,
+tracing grafts, per-member attribution (each submission carries
+``client=member.key``), and crash redispatch at most
+``max_redispatch`` times, after which the work resolves as a typed
+:class:`~repro.serve.errors.ServiceWorkerError` — raised or returned
+for requests, an invalid record for grid cells.
 
-**Bit-identical merge.**  Every evaluation is hermetic (the PR 4
-protocol), so sharding is result-transparent by construction: merged
-results equal a single-device run of the same workload in submission /
-grid order, regardless of member count, backend, or completion order.
-The fleet chaos tests assert exactly this.
-
-**Fault contract.**  ``pool="process"`` members run work in a
-subprocess (reusing the process-pool machinery sweeps already trust).
-A worker death revives the member's executor and redispatches the
-in-flight entry — to a different eligible member when one exists — at
-most ``max_redispatch`` extra times, after which the entry resolves as
-a typed :class:`FleetWorkerError` (requests) or a typed invalid record
-(grid cells).  Never a hang, never a wrong answer.
-
-**Observability.**  ``fleet.*`` counters on :attr:`DeviceFleet.metrics`
-(``fleet.dispatch`` / ``fleet.redispatch`` / ``fleet.worker_crash`` /
-``fleet.errors``...), :meth:`cache_report` aggregating the members'
-plan/gang/trace cache deltas, :meth:`health_report` with per-member
-liveness, and modeled-time accounting (:meth:`makespan_seconds` /
-:meth:`busy_seconds`) — the fleet's throughput axis, measured in the
-same simulated seconds every sweep table reports.
+**Reports**: ``fleet.*`` counters on :attr:`DeviceFleet.metrics`,
+:meth:`cache_report`, :meth:`health_report`, and the modeled
+:meth:`busy_seconds` / :meth:`makespan_seconds`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
-from concurrent.futures import (BrokenExecutor, Future,
-                                ProcessPoolExecutor, ThreadPoolExecutor)
+from concurrent.futures import Future, wait
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     Optional, Sequence)
 
 from repro.gpusim.device import DEVICES
-from repro.obs.events import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceContext, Tracer
-from repro.runtime.context import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: harness needs gpusim
-    from repro.apps.harness import RunRequest, RunResult
-
-#: Execution backends a fleet member may use.  ``inline`` evaluates at
-#: submit time on the caller's thread (the determinism oracle),
-#: ``thread`` gives each member one worker thread and a *warm* member
-#: context, ``process`` gives each member one worker subprocess (cold
-#: hermetic evaluations, real isolation, crash semantics).
-FLEET_POOLS = ("inline", "thread", "process")
+    from repro.apps.harness import RunRequest
+    from repro.obs.trace import Tracer
 
 PLACEMENTS = ("least-loaded", "round-robin", "affinity")
 
@@ -86,39 +58,15 @@ class FleetPlacementError(FleetError):
     """No fleet member models the device the work needs."""
 
 
-class FleetWorkerError(FleetError):
-    """A member's worker died and the redispatch budget is exhausted."""
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
-
-
 def _stable_hash(value: object) -> int:
     """Deterministic (process-independent) hash for affinity placement."""
     return zlib.crc32(repr(value).encode())
 
 
-def _process_request(request: "RunRequest") -> "RunResult":
-    """Process-backend entry: hermetic cold evaluation (PR 4 contract)."""
-    from repro.apps.harness import run_request
-    return run_request(request)
-
-
-def _process_cell(payload):
-    """Process-backend grid-cell entry: mirrors ``Sweeper._process_eval``."""
-    from repro.tuning.sweep import _eval_config
-    index, run, config = payload
-    record = _eval_config(run, config)
-    record.index = index
-    return record
-
-
 class FleetMember:
-    """One simulated device slot: a device model + queue + backend."""
+    """One simulated device slot: a device model and its accounting."""
 
-    def __init__(self, ordinal: int, device: str, pool: str,
-                 mp_context=None):
+    def __init__(self, ordinal: int, device: str):
         if device not in DEVICES:
             raise FleetPlacementError(
                 f"unknown device {device!r}; expected one of "
@@ -126,16 +74,9 @@ class FleetMember:
         self.ordinal = ordinal
         self.device = device
         self.key = f"{device}:{ordinal}"
-        self.pool = pool
-        self._mp_context = mp_context
         self.spec = DEVICES[device]
-        #: Warm per-member context (thread backend evaluates requests
-        #: against it, serve-worker style; inline/process backends keep
-        #: it for engine/device bookkeeping only).
-        self.ctx = ExecutionContext(device=self.spec,
-                                    name=f"fleet:{self.key}")
-        self._executor = None
-        self.generation = 0      # executor revivals after crashes
+        #: 1 + workers lost while evaluating this member's work.
+        self.generation = 1
         self.in_flight = 0
         self.dispatched = 0
         self.completed = 0
@@ -145,68 +86,24 @@ class FleetMember:
         #: Aggregated per-evaluation cache-counter deltas.
         self.counters: Dict[str, int] = {}
 
-    # -- backend ---------------------------------------------------------
-
-    def executor(self):
-        if self._executor is None and self.pool != "inline":
-            if self.pool == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=1, mp_context=self._mp_context)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1,
-                    thread_name_prefix=f"fleet-{self.key}")
-            self.generation += 1
-        return self._executor
-
-    def revive(self) -> None:
-        """Replace a broken executor (crashed process worker)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-        self.executor()
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def submit(self, fn: Callable, *args) -> Future:
-        self.in_flight += 1
-        self.dispatched += 1
-        if self.pool == "inline":
-            future: Future = Future()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-            return future
-        return self.executor().submit(fn, *args)
-
-    def settle(self, result=None, error: bool = False) -> None:
-        """Account one collected evaluation."""
-        self.in_flight = max(0, self.in_flight - 1)
-        if error:
+    def settle(self, result=None) -> None:
+        """Account one collected evaluation; None when it failed."""
+        self.in_flight -= 1
+        if result is None:
             self.errors += 1
             return
         self.completed += 1
-        seconds = getattr(result, "seconds", None)
-        if isinstance(seconds, (int, float)) \
-                and seconds == seconds and seconds != float("inf"):
-            self.busy_seconds += seconds
-        for k, v in (getattr(result, "counters", None) or {}).items():
+        self.busy_seconds += result.seconds
+        for k, v in result.counters.items():
             self.counters[k] = self.counters.get(k, 0) + v
 
     def stats(self) -> Dict[str, object]:
         return {"member": self.key, "device": self.spec.name,
-                "pool": self.pool, "generation": self.generation,
+                "generation": self.generation,
                 "in_flight": self.in_flight,
                 "dispatched": self.dispatched,
                 "completed": self.completed, "errors": self.errors,
                 "busy_modeled_s": self.busy_seconds,
-                # Trace-engine counters from the aggregated result
-                # deltas (warm thread members also accumulate them via
-                # their context's cache counters riding each result).
                 "trace": {
                     "hits": self.counters.get("trace_hits", 0),
                     "deopts": self.counters.get("trace_deopts", 0),
@@ -215,44 +112,31 @@ class FleetMember:
 
 
 class DeviceFleet:
-    """N simulated devices behind one sharding scheduler."""
+    """N simulated devices scheduled on one supervised worker pool."""
 
     def __init__(self, devices: Sequence[str], *,
-                 pool: str = "thread",
                  placement: str = "least-loaded",
                  max_redispatch: int = 1,
                  start_method: Optional[str] = None,
                  name: str = "fleet"):
         if not devices:
             raise ValueError("a fleet needs at least one device")
-        if pool not in FLEET_POOLS:
-            raise ValueError(f"unknown fleet pool {pool!r}; expected "
-                             f"one of {FLEET_POOLS}")
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; "
                              f"expected one of {PLACEMENTS}")
-        if max_redispatch < 0:
-            raise ValueError("max_redispatch must be >= 0")
         self.name = name
-        self.pool = pool
         self.placement = placement
-        self.max_redispatch = max_redispatch
-        mp_context = None
-        if pool == "process" and start_method is not None:
-            import multiprocessing
-            mp_context = multiprocessing.get_context(start_method)
         self.members: List[FleetMember] = [
-            FleetMember(i, device, pool, mp_context)
-            for i, device in enumerate(devices)]
+            FleetMember(i, device) for i, device in enumerate(devices)]
+        from repro.serve.supervisor import (ServiceConfig,
+                                            SpecializationService)
+        #: Started on first use: a fleet that only places spawns nothing.
+        self.service = SpecializationService(ServiceConfig(
+            workers=len(self.members), max_redispatch=max_redispatch,
+            start_method=start_method))
         self.metrics = MetricsRegistry()
         self.metrics.gauge("fleet.members", len(self.members))
-        #: Typed event ring: placements, crashes, redispatches (see
-        #: :mod:`repro.obs.events`), surfaced by :meth:`health_report`.
-        self.recorder = FlightRecorder(capacity=128, origin=name)
-        #: Fleet-side tracer; None until :meth:`enable_tracing`.  When
-        #: set, dispatched requests carry a TraceContext and shipped
-        #: span trees graft under ``request:{index}`` wrappers.
-        self.tracer: Optional[Tracer] = None
+        self.recorder = self.service.recorder
         self._rr: Dict[str, int] = {}
         self._closed = False
 
@@ -265,31 +149,31 @@ class DeviceFleet:
         self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop every member's backend (idempotent)."""
+        """Stop the service's workers (idempotent)."""
         self._closed = True
-        for member in self.members:
-            member.shutdown()
+        self.service.shutdown()
+
+    def _start(self) -> None:
+        if self._closed:
+            raise FleetError(f"fleet {self.name!r} is shut down")
+        if not self.service.running:
+            self.service.start()
 
     # -- observability ---------------------------------------------------
 
-    def enable_tracing(self, name: Optional[str] = None) -> Tracer:
-        """Attach the fleet tracer (idempotent): every request
-        dispatched afterwards runs traced, and its shipped span tree
-        is grafted under a ``request:{index}`` span here, so one
-        export shows the whole sharded batch."""
-        if self.tracer is None:
-            self.tracer = Tracer(name or self.name)
-        return self.tracer
+    @property
+    def tracer(self) -> Optional["Tracer"]:
+        """The service's tracer; None until :meth:`enable_tracing`."""
+        return self.service.tracer
+
+    def enable_tracing(self, name: Optional[str] = None) -> "Tracer":
+        """Trace every request dispatched afterwards (the service's
+        tracer; each graft is tagged with its member as ``client``)."""
+        return self.service.enable_tracing(name or self.name)
 
     def export_trace(self, path: str) -> str:
-        """Write the fleet trace + metrics + events to *path*."""
-        if self.tracer is None:
-            raise RuntimeError("tracing is not enabled on this fleet")
-        from repro.obs.export import write_trace
-        write_trace(path, self.tracer.to_dict(),
-                    metrics=self.metrics.snapshot(),
-                    events=self.recorder.events())
-        return path
+        """Write the fleet trace + service metrics + events to *path*."""
+        return self.service.export_trace(path)
 
     # -- placement -------------------------------------------------------
 
@@ -297,9 +181,9 @@ class DeviceFleet:
         """Members whose model matches *device* (fleet order)."""
         return [m for m in self.members if m.device == device]
 
-    def place(self, device: str, affinity_key: object = None,
-              exclude: Optional[FleetMember] = None) -> FleetMember:
-        """Pick the member one piece of *device* work runs on.
+    def place(self, device: str,
+              affinity_key: object = None) -> FleetMember:
+        """Pick the member one piece of *device* work is placed on.
 
         Raises:
             FleetPlacementError: the fleet has no member modeling
@@ -313,119 +197,91 @@ class DeviceFleet:
                 f"{device!r}; fleet is "
                 f"{[m.key for m in self.members]} "
                 f"(registry devices: {tuple(sorted(DEVICES))})")
-        if exclude is not None and len(candidates) > 1:
-            candidates = [m for m in candidates if m is not exclude]
+        return self._pick(candidates, device, affinity_key)
+
+    def _pick(self, candidates: List[FleetMember], lane: str,
+              affinity_key: object) -> FleetMember:
         if self.placement == "affinity":
             return candidates[_stable_hash(affinity_key)
                               % len(candidates)]
         if self.placement == "round-robin":
-            n = self._rr.get(device, 0)
-            self._rr[device] = n + 1
+            n = self._rr.get(lane, 0)
+            self._rr[lane] = n + 1
             return candidates[n % len(candidates)]
         return min(candidates,
                    key=lambda m: (m.in_flight, m.dispatched, m.ordinal))
+
+    def _submit(self, member: FleetMember, work,
+                pending: List[Future]) -> Future:
+        """Submit *work* for *member*, metered so admission never sheds:
+        dispatch is FIFO, so once the entry submitted a queue's worth
+        earlier has resolved, the queue has room."""
+        from repro.serve.errors import ServiceError
+        capacity = self.service.config.queue_capacity
+        if len(pending) >= capacity:
+            wait([pending[-capacity]])
+        member.in_flight += 1
+        member.dispatched += 1
+        self.metrics.inc("fleet.dispatch")
+        try:
+            return self.service.submit(work, client=member.key)
+        except ServiceError as exc:  # refused at the door (deadline)
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    def _fold_worker_deaths(self) -> None:
+        """Mirror the service's worker-death counters in fleet terms."""
+        served = self.service.metrics
+        for source, name in (("serve.worker.crash", "fleet.worker_crash"),
+                             ("serve.redispatch", "fleet.redispatch")):
+            self.metrics.inc(name, served.counter(source)
+                             - self.metrics.counter(name))
+        for member in self.members:
+            member.generation = 1 + served.counter(
+                f"client.{member.key}.worker_lost")
 
     # -- request sharding ------------------------------------------------
 
     def run_requests(self, requests: Iterable["RunRequest"], *,
                      return_errors: bool = False) -> List[object]:
-        """Shard a stream of requests; results in submission order.
+        """Shard a stream of requests; results in submission order,
+        each with ``worker`` naming its member.
 
-        Each request evaluates exactly as it would alone — warm member
-        context on the thread backend (the serve warm path, bit-
-        identical by the cache contract), hermetic cold context on
-        inline/process — so the merged list is bit-identical to a
-        sequential single-device run.  Failures resolve as typed
-        errors: raised at their position by default, or returned
-        in-place as exception objects with ``return_errors=True``.
+        Failures are typed service errors: the first is raised once the
+        whole batch has settled, or all are returned in place with
+        ``return_errors=True``.
         """
-        if self._closed:
-            raise FleetError(f"fleet {self.name!r} is shut down")
-        pending = []
-        for i, request in enumerate(requests):
+        self._start()
+        members: List[FleetMember] = []
+        futures: List[Future] = []
+        for request in requests:
             device = request.spec.device
             member = self.place(device, affinity_key=(
                 request.spec.app, request.spec.seed, device))
-            if self.tracer is not None and request.trace_ctx is None:
-                request = dataclasses.replace(
-                    request, trace_ctx=TraceContext(
-                        trace_id=f"req{i}", parent=f"request:{i}"))
             self.recorder.record("fleet.place", member=member.key,
                                  policy=self.placement)
-            future = self._submit_request(member, request)
-            self.metrics.inc("fleet.dispatch")
-            pending.append([i, member, request, future, 1])
+            futures.append(self._submit(member, request, futures))
+            members.append(member)
         self.metrics.inc("fleet.batches")
         results: List[object] = []
-        for slot in pending:
-            results.append(self._collect_request(slot, return_errors))
-        return results
-
-    def _submit_request(self, member: FleetMember,
-                        request: "RunRequest") -> Future:
-        if member.pool == "thread":
-            # Warm path: reuse the member's long-lived context so
-            # repeated specs hit its compiled/plan/gang/trace caches.
-            from repro.apps.harness import run_request
-            return member.submit(run_request, request, member.ctx)
-        return member.submit(_process_request, request)
-
-    def _collect_request(self, slot, return_errors: bool):
-        from repro.apps.harness import RunResult
-        index, member, request, future, attempts = slot
-        while True:
+        for member, future in zip(members, futures):
             try:
                 result = future.result()
-            except (BrokenExecutor, OSError) as exc:
-                member.settle(error=True)
-                self.metrics.inc("fleet.worker_crash")
-                self.recorder.record("fleet.worker_crash",
-                                     member=member.key)
-                member.revive()
-                if attempts > self.max_redispatch:
-                    self.metrics.inc("fleet.errors")
-                    error = FleetWorkerError(
-                        f"request {index} lost {attempts} fleet "
-                        f"worker(s) on {member.key} "
-                        f"({type(exc).__name__}: {exc}); redispatch "
-                        f"budget ({self.max_redispatch}) exhausted",
-                        attempts=attempts)
-                    if return_errors:
-                        return error
-                    raise error from exc
-                member = self.place(request.spec.device,
-                                    affinity_key=index, exclude=member)
-                future = self._submit_request(member, request)
-                attempts += 1
-                self.metrics.inc("fleet.redispatch")
-                self.recorder.record("fleet.redispatch",
-                                     member=member.key, request=index)
-                continue
             except Exception as exc:
-                member.settle(error=True)
+                member.settle(None)
                 self.metrics.inc("fleet.errors")
-                if return_errors:
-                    return exc
-                raise
+                results.append(exc)
+                continue
             member.settle(result)
-            if isinstance(result, RunResult) and not result.worker:
-                result.worker = member.key
-                result.attempts = attempts
-            if isinstance(result, RunResult):
-                self._graft_result(index, member, result, attempts)
-            return result
-
-    def _graft_result(self, index: int, member: FleetMember,
-                      result: "RunResult", attempts: int) -> None:
-        """Fold a traced result into the fleet's telemetry plane."""
-        if result.events:
-            self.recorder.extend(result.events, origin=member.key)
-        if self.tracer is None or not result.trace:
-            return
-        if not result.trace.get("spans"):
-            return
-        self.tracer.graft(result.trace, f"request:{index}", cat="fleet",
-                          member=member.key, attempts=attempts)
+            result.worker = member.key
+            results.append(result)
+        self._fold_worker_deaths()
+        if not return_errors:
+            for result in results:
+                if isinstance(result, Exception):
+                    raise result
+        return results
 
     # -- grid sharding ---------------------------------------------------
 
@@ -433,112 +289,49 @@ class DeviceFleet:
                  configs: Iterable[dict], base: int = 0) -> List[object]:
         """Shard a sweep grid's cells; records merged in grid order.
 
-        The fleet analogue of ``Sweeper._eval_all`` (and what
-        ``Sweeper(fleet=...)`` delegates to): *run* maps one config
-        dict to a :class:`~repro.tuning.sweep.SweepRecord`, each cell
-        is placed on a member eligible for the runner's device (read
-        off ``run.spec.device`` when present; any member otherwise),
-        and evaluation semantics match the Sweeper's exactly — cell
-        exceptions become typed invalid records, worker deaths
-        redispatch then surface as typed ``FleetWorkerError`` records.
+        Each cell is placed on a member eligible for the runner's
+        device (``run.spec.device`` when present; any member
+        otherwise) and evaluated exactly as ``Sweeper`` would: cell
+        exceptions and worker deaths past the redispatch budget become
+        typed invalid records.
         """
-        if self._closed:
-            raise FleetError(f"fleet {self.name!r} is shut down")
-        from repro.tuning.sweep import _eval_config
+        from repro.serve.worker import SweepCell
+        from repro.tuning.sweep import require_picklable, served_record
+        require_picklable(run)
         configs = list(configs)
         device = getattr(getattr(run, "spec", None), "device", None)
         if device is not None:
             self.eligible(device) or self.place(device)  # raise typed
+        self._start()
         self.metrics.inc("fleet.shards")
-        pending = []
+        members: List[FleetMember] = []
+        futures: List[Future] = []
         for i, config in enumerate(configs):
-            index = base + i
-            member = (self.place(device, affinity_key=tuple(
-                sorted(config.items()))) if device is not None
-                else self._any_member(config))
-            future = self._submit_cell(member, index, run, config)
-            self.metrics.inc("fleet.dispatch")
-            pending.append([index, member, run, config, future, 1])
-        records = [self._collect_cell(slot, device) for slot in pending]
-        for record in records:
-            seconds = getattr(record, "seconds", None)
-            if getattr(record, "valid", False) and seconds is not None:
-                self.metrics.observe("fleet.cell_seconds", seconds)
+            key = tuple(sorted(config.items()))
+            member = (self.place(device, affinity_key=key)
+                      if device is not None
+                      else self._pick(self.members, "*", key))
+            futures.append(self._submit(
+                member, SweepCell(run, dict(config), base + i), futures))
+            members.append(member)
+        records = []
+        for i, (member, future) in enumerate(zip(members, futures)):
+            if future.exception() is not None:
+                self.metrics.inc("fleet.errors")
+            record = served_record(future, configs[i], base + i)
+            member.settle(record if record.valid else None)
+            if record.valid:
+                self.metrics.observe("fleet.cell_seconds",
+                                     record.seconds)
+            records.append(record)
+        self._fold_worker_deaths()
         return records
-
-    def _any_member(self, config: dict) -> FleetMember:
-        if self.placement == "affinity":
-            return self.members[
-                _stable_hash(tuple(sorted(config.items())))
-                % len(self.members)]
-        if self.placement == "round-robin":
-            n = self._rr.get("*", 0)
-            self._rr["*"] = n + 1
-            return self.members[n % len(self.members)]
-        return min(self.members,
-                   key=lambda m: (m.in_flight, m.dispatched, m.ordinal))
-
-    def _submit_cell(self, member: FleetMember, index: int, run,
-                     config: dict) -> Future:
-        from repro.tuning.sweep import _eval_config
-
-        if member.pool == "process":
-            return member.submit(_process_cell,
-                                 (index, run, dict(config)))
-
-        def eval_cell():
-            record = _eval_config(run, dict(config))
-            record.index = index
-            return record
-
-        return member.submit(eval_cell)
-
-    def _collect_cell(self, slot, device):
-        from repro.tuning.sweep import SweepRecord
-        index, member, run, config, future, attempts = slot
-        while True:
-            try:
-                record = future.result()
-            except (BrokenExecutor, OSError, RuntimeError) as exc:
-                member.settle(error=True)
-                self.metrics.inc("fleet.worker_crash")
-                self.recorder.record("fleet.worker_crash",
-                                     member=member.key)
-                member.revive()
-                if attempts > self.max_redispatch:
-                    self.metrics.inc("fleet.errors")
-                    return SweepRecord(
-                        config=dict(config), seconds=float("inf"),
-                        valid=False,
-                        error=(f"FleetWorkerError: cell {index} lost "
-                               f"{attempts} fleet worker(s) on "
-                               f"{member.key} ({type(exc).__name__}: "
-                               f"{exc}); redispatch budget "
-                               f"({self.max_redispatch}) exhausted"),
-                        index=index)
-                member = (self.place(device, affinity_key=index,
-                                     exclude=member)
-                          if device is not None else
-                          self._any_member(config))
-                future = self._submit_cell(member, index, run, config)
-                attempts += 1
-                self.metrics.inc("fleet.redispatch")
-                continue
-            member.settle(record, error=not getattr(record, "valid",
-                                                    True))
-            return record
 
     # -- fleet-level reports ---------------------------------------------
 
     def cache_report(self) -> Dict[str, int]:
-        """Aggregated cache-counter deltas across every member.
-
-        Sums the per-evaluation plan/gang/trace counter deltas each
-        result carried (the same ``plan_hits`` / ``gang_hits`` /
-        ``trace_*`` keys :attr:`Sweeper.cache_report` uses), plus —
-        on the warm thread backend — the members' own context
-        counters, so warm-path hits are visible either way.
-        """
+        """Per-evaluation plan/gang/trace cache deltas summed over
+        every member (the keys :attr:`Sweeper.cache_report` uses)."""
         report: Dict[str, int] = {}
         for member in self.members:
             for k, v in member.counters.items():
@@ -561,14 +354,13 @@ class DeviceFleet:
         return max((m.busy_seconds for m in self.members), default=0.0)
 
     def health_report(self) -> Dict[str, object]:
-        """Liveness + load + error picture of the whole fleet."""
+        """Load + error picture of the whole fleet."""
         status = "shutdown" if self._closed else "ok"
         if not self._closed and any(m.errors for m in self.members):
             status = "degraded"
         return {
             "status": status,
             "name": self.name,
-            "pool": self.pool,
             "placement": self.placement,
             "devices": [m.device for m in self.members],
             "members": [m.stats() for m in self.members],
@@ -581,4 +373,4 @@ class DeviceFleet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DeviceFleet {self.name!r} "
                 f"[{', '.join(m.key for m in self.members)}] "
-                f"pool={self.pool} placement={self.placement}>")
+                f"placement={self.placement}>")

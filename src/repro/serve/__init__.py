@@ -24,8 +24,7 @@ from repro.serve.client import InProcClient, ServiceClient
 from repro.serve.errors import (DeadlineExceeded, ServiceDeadlineError,
                                 ServiceError, ServiceOverloadError,
                                 ServiceProtocolError, ServiceRequestError,
-                                ServiceShutdownError, ServiceWorkerError,
-                                WorkerCrashError)
+                                ServiceShutdownError, ServiceWorkerError)
 from repro.serve.health import health_report
 from repro.serve.server import ServiceServer
 from repro.serve.supervisor import (ServiceConfig, SpecializationService,
@@ -40,7 +39,7 @@ __all__ = [
     "ServiceError", "ServiceOverloadError", "ServiceDeadlineError",
     "ServiceWorkerError", "ServiceShutdownError",
     "ServiceProtocolError", "ServiceRequestError",
-    "WorkerCrashError", "DeadlineExceeded",
+    "DeadlineExceeded",
     "health_report", "ServiceServer",
     "ServiceConfig", "SpecializationService", "WorkerHandle",
     "send_frame", "recv_frame", "MAX_FRAME",

@@ -1,4 +1,4 @@
-"""Chaos instrumentation for the serve daemon and process-pool sweeps.
+"""Chaos instrumentation for the serve daemon and the sweeps it runs.
 
 Deterministic ways to hurt workers, used by the regression suites and
 the CI chaos job.  Everything here is a plain picklable dataclass so
@@ -12,8 +12,10 @@ it crosses process boundaries exactly like real work:
   deadline + ``kill_grace`` backstop (and queue backpressure under
   load) is the thing under test.
 * :class:`KamikazeRunner` — a sweep run-callable that SIGKILLs its
-  own pool worker on selected cells, for
-  :class:`~repro.tuning.sweep.Sweeper` worker-death regression tests.
+  own worker on selected cells, for
+  :class:`~repro.tuning.sweep.Sweeper` and
+  :class:`~repro.runtime.fleet.DeviceFleet` worker-death regression
+  tests.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import signal
 import time
 from dataclasses import dataclass
 from typing import Tuple
-
-from repro.tuning.sweep import SweepRecord
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,20 @@ class SleepRequest:
 
 @dataclass(frozen=True)
 class KamikazeRunner:
-    """Sweep evaluator that SIGKILLs its pool worker on chosen cells.
+    """Sweep evaluator that SIGKILLs its worker on chosen cells.
 
     The surviving cells return tiny valid records, so a
-    ``Sweeper(jobs=N, pool="process")`` sweep over this runner proves
-    both halves of the worker-death contract: victims surface as
-    ``WorkerCrashError`` records in ``error_taxonomy()`` and finished
-    cells keep their results.
+    ``Sweeper(jobs=N)`` sweep over this runner proves both halves of
+    the worker-death contract: victims surface as
+    ``ServiceWorkerError`` records in ``error_taxonomy()`` and every
+    other cell keeps its result.
     """
 
     crash_cells: Tuple[int, ...] = ()
     axis: str = "cell"
 
-    def __call__(self, config: dict) -> SweepRecord:
+    def __call__(self, config: dict):
+        from repro.tuning.sweep import SweepRecord
         cell = config[self.axis]
         if cell in self.crash_cells:
             os.kill(os.getpid(), signal.SIGKILL)

@@ -11,7 +11,9 @@ clients dispatch on class (and ``code``) instead of string-matching:
 * :class:`ServiceDeadlineError` — the request's deadline expired
   before or during evaluation;
 * :class:`ServiceWorkerError` — the evaluating worker crashed more
-  times than the at-most-N-retries redispatch contract allows;
+  times than the at-most-N-retries redispatch contract allows (the
+  one worker-death error: served sweep cells and fleet work carry it
+  too);
 * :class:`ServiceShutdownError` — the service is draining or stopped;
 * :class:`ServiceProtocolError` — a malformed frame or unknown op;
 * :class:`ServiceRequestError` — the request itself failed with a
@@ -26,12 +28,12 @@ back to the client and re-raise it with type and fields intact.
 
 from __future__ import annotations
 
-from repro.faults.errors import DeadlineExceeded, WorkerCrashError
+from repro.faults.errors import DeadlineExceeded
 
 __all__ = [
     "ServiceError", "ServiceOverloadError", "ServiceDeadlineError",
     "ServiceWorkerError", "ServiceShutdownError", "ServiceProtocolError",
-    "ServiceRequestError", "WorkerCrashError", "DeadlineExceeded",
+    "ServiceRequestError", "DeadlineExceeded",
 ]
 
 

@@ -4,7 +4,9 @@
 It owns a fixed set of worker *slots*, each running (or restarting
 into) one warm :mod:`repro.serve.worker` process, and a single
 supervisor thread that multiplexes everything over
-:func:`multiprocessing.connection.wait`:
+:func:`multiprocessing.connection.wait`.  It is the repo's one worker
+pool: the daemon's requests, ``Sweeper(jobs>1)`` grid cells and
+:class:`~repro.runtime.fleet.DeviceFleet` work all run on it.
 
 * **dispatch** — admitted entries go to idle workers in FIFO order;
   the circuit breaker decides per dispatch whether the request runs
@@ -358,6 +360,7 @@ class SpecializationService:
         self.recorder.record("worker.exit", worker=handle.id, why=reason)
         if entry is None or entry.done:
             return
+        self.metrics.inc(f"client.{entry.client or 'anon'}.worker_lost")
         if entry.probe:
             self.breaker.abort_probe()
         if entry.expired(now):

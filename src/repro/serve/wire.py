@@ -11,9 +11,9 @@ exhaustion; anything malformed raises
 :class:`~repro.serve.errors.ServiceProtocolError`.
 
 Trust model: the daemon binds localhost and the protocol is pickle —
-the same trust boundary as the process-pool sweeps that already ship
-pickled requests between local processes.  Do not expose the port
-beyond the machine.
+the same trust boundary as the service's own worker pipes, which
+already ship pickled requests between local processes.  Do not expose
+the port beyond the machine.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ per-request state (fault injector, tracer, deadline) is scoped inside
 ``run_request`` and cache hits are bit-identical to misses by
 construction.
 
+The worker also evaluates sweep grid cells (:class:`SweepCell`, from
+``Sweeper(jobs>1)`` and ``DeviceFleet.map_grid``) with the inline
+sweep's ``_eval_config``, imported only when the first cell arrives.
+
 Every evaluation ends in exactly one reply: ``("result", req_id,
 "ok", RunResult)`` or ``("result", req_id, "err", exception)`` — the
 exception *instance* ships (type, fault site, and fields survive
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 from repro.apps.harness import RunRequest, run_request
 from repro.gpusim import DEVICES
@@ -40,6 +45,15 @@ from repro.serve.chaos import CrashRequest, SleepRequest
 MSG_READY = "ready"
 MSG_HEARTBEAT = "hb"
 MSG_RESULT = "result"
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    """One sweep grid cell: ``run(config)``, recorded at ``index``."""
+
+    run: Callable
+    config: dict
+    index: int
 
 
 def _heartbeat_loop(conn, send_lock: threading.Lock,
@@ -57,6 +71,11 @@ def _evaluate(msg, contexts: Dict[str, ExecutionContext]):
     _, _req_id, request, delivery = msg
     if isinstance(request, (CrashRequest, SleepRequest)):
         return request.execute(delivery)
+    if isinstance(request, SweepCell):
+        from repro.tuning.sweep import _eval_config
+        record = _eval_config(request.run, request.config)
+        record.index = request.index
+        return record
     if not isinstance(request, RunRequest):
         raise TypeError(f"worker cannot evaluate "
                         f"{type(request).__name__}")

@@ -7,7 +7,7 @@ percent-of-peak analyses behind Tables 6.13, 6.15-6.18, 6.20-6.22 and
 Figures 6.1/6.2.
 """
 
-from repro.tuning.sweep import (POOLS, SweepRecord, Sweeper, best_record,
+from repro.tuning.sweep import (SweepRecord, Sweeper, best_record,
                                 grid_configs)
 from repro.tuning.grids import (percent_of_peak, peak_grid_text,
                                 contour_series)
@@ -17,7 +17,7 @@ from repro.tuning.app_sweeps import (HarnessRunner, bp_sweep,
                                      harness_autotune, harness_sweep,
                                      piv_sweep, tm_sweep)
 
-__all__ = ["POOLS", "Sweeper", "SweepRecord", "best_record",
+__all__ = ["Sweeper", "SweepRecord", "best_record",
            "grid_configs", "percent_of_peak", "peak_grid_text",
            "contour_series", "HarnessRunner", "harness_sweep",
            "harness_autotune", "piv_sweep", "tm_sweep", "bp_sweep",

@@ -11,9 +11,9 @@ Two styles:
   The runner carries only a :class:`~repro.apps.harness.ProblemSpec`
   (seeds, not arrays) and rebuilds everything per evaluation via
   :func:`~repro.apps.harness.run_request`, so it works identically
-  with ``pool="thread"`` and ``pool="process"``.
+  inline (``jobs=1``) and on worker processes (``jobs>1``).
 * the legacy ``piv_sweep`` / ``tm_sweep`` / ``bp_sweep`` closures —
-  thread-only (closures over input arrays don't pickle), kept for
+  inline only (closures over input arrays don't pickle), kept for
   callers that already hold generated inputs.
 """
 
@@ -44,9 +44,9 @@ class HarnessRunner:
     :func:`repro.apps.harness.run_request`, which builds a fresh
     private :class:`ExecutionContext` and (when ``fault_plan`` is set)
     re-installs the seeded injector inside whatever worker runs it —
-    the guarantee that makes chaos sweeps work under process pools.
+    the guarantee that makes chaos sweeps work on worker processes.
     Because each evaluation is hermetic, results are bit-identical
-    across ``jobs``/pool choices.
+    across ``jobs`` choices.
     """
 
     app: str
@@ -87,19 +87,18 @@ def harness_sweep(app: str, problem, axes: Mapping[str, Iterable], *,
                   functional: bool = False,
                   engine: Optional[str] = None,
                   fault_plan: Optional[FaultPlan] = None,
-                  jobs: int = 1, pool: str = "thread",
-                  start_method: Optional[str] = None,
+                  jobs: int = 1, start_method: Optional[str] = None,
                   trace: bool = False, fleet=None,
                   autotune: bool = False, **tuner_options) -> Sweeper:
     """Sweep *axes* for one app via the picklable harness protocol.
 
     Returns the :class:`Sweeper` after running, so callers read
     ``.records`` (grid order) and the exact ``.cache_report``.  With
-    ``trace=True`` every cell is traced in its worker (thread or
-    process) and the sweeper's own trace aggregates the cells.
+    ``trace=True`` every cell is traced where it runs (inline or on a
+    worker process) and the sweeper's own trace aggregates the cells.
 
     ``fleet`` shards the grid across a
-    :class:`~repro.runtime.fleet.DeviceFleet` instead of a local pool
+    :class:`~repro.runtime.fleet.DeviceFleet` instead
     (*device* must be one of the fleet's device models); records merge
     back in grid order, bit-identical to the unfleeted sweep.
 
@@ -115,7 +114,7 @@ def harness_sweep(app: str, problem, axes: Mapping[str, Iterable], *,
             app, problem, axes, device=device, seed=seed,
             memory_bytes=memory_bytes, specialize=specialize,
             sample_blocks=sample_blocks, engine=engine,
-            fault_plan=fault_plan, jobs=jobs, pool=pool,
+            fault_plan=fault_plan, jobs=jobs,
             start_method=start_method, trace=trace, **tuner_options)
         tuner.sweeper.tuner = tuner
         return tuner.sweeper
@@ -128,9 +127,8 @@ def harness_sweep(app: str, problem, axes: Mapping[str, Iterable], *,
                            sample_blocks=sample_blocks,
                            functional=functional, engine=engine,
                            fault_plan=fault_plan, trace=trace)
-    sweeper = Sweeper(runner, jobs=jobs, pool=pool,
-                      start_method=start_method, trace=trace,
-                      fleet=fleet)
+    sweeper = Sweeper(runner, jobs=jobs, start_method=start_method,
+                      trace=trace, fleet=fleet)
     sweeper.sweep(grid_configs(**{k: list(v) for k, v in axes.items()}))
     return sweeper
 
@@ -141,8 +139,7 @@ def harness_autotune(app: str, problem, axes: Mapping[str, Iterable],
                      specialize: bool = True, sample_blocks: int = 2,
                      engine: Optional[str] = None,
                      fault_plan: Optional[FaultPlan] = None,
-                     jobs: int = 1, pool: str = "thread",
-                     start_method: Optional[str] = None,
+                     jobs: int = 1, start_method: Optional[str] = None,
                      trace: bool = False, **tuner_options) -> AutoTuner:
     """Profile-guided pruned tuning of *axes* for one app.
 
@@ -153,9 +150,9 @@ def harness_autotune(app: str, problem, axes: Mapping[str, Iterable],
     :meth:`~repro.tuning.autotune.AutoTuner.tune`, and returns the
     tuner (``.result`` holds the verdict, ``.records`` the pruned
     evaluation sequence).  Evaluation still goes through a
-    :class:`Sweeper`, so ``jobs``/``pool``/``fault_plan`` behave
-    exactly as in :func:`harness_sweep` and records stay bit-identical
-    across pool flavors.  ``tuner_options`` (``budget``, ``probes``,
+    :class:`Sweeper`, so ``jobs``/``fault_plan`` behave exactly as in
+    :func:`harness_sweep` and records stay bit-identical across
+    ``jobs``.  ``tuner_options`` (``budget``, ``probes``,
     ``extra_probes``, ``patience``, ``quorum``, ``max_passes``,
     ``rules``, ``seed`` as ``tuner_seed``) forward to the tuner.
     """
@@ -170,7 +167,7 @@ def harness_autotune(app: str, problem, axes: Mapping[str, Iterable],
         tuner_options["seed"] = tuner_options.pop("tuner_seed")
     tuner = AutoTuner(runner,
                       {k: list(v) for k, v in axes.items()},
-                      jobs=jobs, pool=pool, start_method=start_method,
+                      jobs=jobs, start_method=start_method,
                       trace=trace, **tuner_options)
     tuner.tune()
     return tuner
@@ -182,7 +179,6 @@ def piv_sweep(problem: PIVProblem, device: DeviceSpec,
               variant: str = "tree", specialize: bool = True,
               sample_blocks: int = 2,
               cache=None,
-              jobs: int = 1,
               engine: Optional[str] = None) -> List[SweepRecord]:
     """Sweep (rb, threads) for one PIV problem on one device."""
 
@@ -197,7 +193,7 @@ def piv_sweep(problem: PIVProblem, device: DeviceSpec,
                            reg_count=result.reg_count,
                            occupancy=result.occupancy)
 
-    sweeper = Sweeper(run, jobs=jobs)
+    sweeper = Sweeper(run)
     cache = cache or sweeper.ctx.kernel_cache
     return sweeper.sweep(grid_configs(rb=list(rb_values),
                                       threads=list(thread_values)))
@@ -208,7 +204,6 @@ def tm_sweep(problem: MatchProblem, template: np.ndarray,
              device: DeviceSpec, specialize: bool = True,
              sample_blocks: int = 2,
              cache=None,
-             jobs: int = 1,
              engine: Optional[str] = None) -> List[SweepRecord]:
     """Sweep (tile, threads) for one template-matching problem."""
 
@@ -225,7 +220,7 @@ def tm_sweep(problem: MatchProblem, template: np.ndarray,
                            seconds=result.kernel_seconds,
                            reg_count=matcher.numerator_reg_count())
 
-    sweeper = Sweeper(run, jobs=jobs)
+    sweeper = Sweeper(run)
     cache = cache or sweeper.ctx.kernel_cache
     return sweeper.sweep(grid_configs(tile=list(tile_sizes),
                                       threads=list(thread_values)))
@@ -235,7 +230,6 @@ def bp_sweep(problem: BPProblem, projections: np.ndarray,
              block_shapes, zb_values, device: DeviceSpec,
              specialize: bool = True, sample_blocks: int = 2,
              cache=None,
-             jobs: int = 1,
              engine: Optional[str] = None) -> List[SweepRecord]:
     """Sweep (block shape, zb) for a backprojection problem."""
 
@@ -250,7 +244,7 @@ def bp_sweep(problem: BPProblem, projections: np.ndarray,
                            reg_count=result.reg_count,
                            occupancy=result.occupancy)
 
-    sweeper = Sweeper(run, jobs=jobs)
+    sweeper = Sweeper(run)
     cache = cache or sweeper.ctx.kernel_cache
     return sweeper.sweep(grid_configs(block=list(block_shapes),
                                       zb=list(zb_values)))

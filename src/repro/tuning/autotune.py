@@ -15,7 +15,7 @@ The procedure (each step deterministic in ``(axes, seed)``):
    points spread along the grid diagonal in index space (endpoints
    included, indices rounded half-up), plus ``extra_probes`` seeded
    uniform picks.  Probes run through the same :class:`Sweeper` as
-   everything else, so pools, caches, fault plans, and metrics apply.
+   everything else, so workers, caches, fault plans, and metrics apply.
 2. **Diagnose** — for each valid probe carrying profiles, classify
    the *dominant* launch (largest modeled seconds) into one limiter
    label via :func:`diagnose`.  The incumbent (fastest) probe's label
@@ -212,7 +212,7 @@ class AutoTuner:
         quorum: fraction of diagnosable probes that must share the
             incumbent's label; below it the tuner falls back.
         max_passes: cap on expansion passes over the axis list.
-        jobs / pool / start_method / context / trace: forwarded to the
+        jobs / start_method / context / trace: forwarded to the
             internal :class:`Sweeper` (one per tuner; its ``records``
             are exactly the tuner's evaluations, in eval order).
     """
@@ -223,8 +223,7 @@ class AutoTuner:
                  probes: int = 3, extra_probes: int = 0, seed: int = 0,
                  budget: Optional[int] = None, patience: int = 2,
                  quorum: float = 0.5, max_passes: int = 4,
-                 jobs: int = 1, pool: str = "thread",
-                 start_method: Optional[str] = None,
+                 jobs: int = 1, start_method: Optional[str] = None,
                  context=None, trace: bool = False):
         if probes < 1:
             raise ValueError(f"probes must be >= 1, got {probes}")
@@ -256,8 +255,7 @@ class AutoTuner:
         self.patience = patience
         self.quorum = quorum
         self.max_passes = max_passes
-        self.sweeper = Sweeper(run, jobs=jobs, pool=pool,
-                               context=context,
+        self.sweeper = Sweeper(run, jobs=jobs, context=context,
                                start_method=start_method, trace=trace)
         self._seen: Dict[Tuple, SweepRecord] = {}
         #: Plain-string decision log, one entry per probe pick,

@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.reporting import format_table
 from repro.runtime.context import ExecutionContext, using_context
-
-POOLS = ("thread", "process")
 
 
 @dataclass
@@ -31,7 +27,7 @@ class SweepRecord:
     #: alias).  Records of one call are always returned sorted by it.
     index: int = -1
     #: Plan/gang cache counters charged by runs that evaluated in a
-    #: private context of their own (harness/process runs); empty for
+    #: private context of their own (harness runs); empty for
     #: closure runs, which charge the sweep's context directly.
     counters: Dict[str, int] = field(default_factory=dict)
     #: site -> fired count from the run's fault injector (chaos
@@ -65,18 +61,29 @@ def _eval_config(run: Callable[[dict], SweepRecord],
                            error=f"{type(exc).__name__}: {exc}")
 
 
-def _process_eval(payload) -> Tuple[int, SweepRecord]:
-    """Process-pool worker entry: evaluate one indexed config.
+def require_picklable(run: Callable) -> None:
+    """Raise an actionable ``ValueError`` unless *run* can ship to a
+    worker process."""
+    try:
+        pickle.dumps(run)
+    except Exception as exc:
+        raise ValueError(
+            "jobs>1 and fleet sweeps need a picklable run callable; "
+            "closures over arrays are not — use a HarnessRunner "
+            f"(repro.tuning.app_sweeps) instead: {exc}") from exc
 
-    The unpickled *run* rebuilds whatever context it needs (a
-    :class:`~repro.tuning.app_sweeps.HarnessRunner` builds a fresh
-    :class:`ExecutionContext`, re-installing any shipped fault plan);
-    nothing from the parent's contexts is assumed to exist here.
-    """
-    index, run, config = payload
-    record = _eval_config(run, config)
-    record.index = index
-    return index, record
+
+def served_record(future, config: dict, index: int) -> SweepRecord:
+    """The record of one served cell; a cell the service could not
+    evaluate (a ``ServiceWorkerError``) is a typed invalid record."""
+    from repro.serve.errors import ServiceError
+    try:
+        return future.result()
+    except ServiceError as exc:
+        return SweepRecord(config=dict(config), seconds=float("inf"),
+                           valid=False,
+                           error=f"{type(exc).__name__}: {exc}",
+                           index=index)
 
 
 class Sweeper:
@@ -89,49 +96,42 @@ class Sweeper:
     tables can show the holes.
 
     Args:
-        run: the evaluation function.  ``pool="process"`` requires it
-            to be picklable (a :class:`HarnessRunner` or plain
+        run: the evaluation function.  ``jobs>1`` requires it to be
+            picklable (a :class:`HarnessRunner` or module-level
             function, not a closure).
-        jobs: worker count; 1 evaluates inline.
-        pool: ``"thread"`` (workers share this process) or
-            ``"process"`` (each worker is a subprocess that rebuilds
-            its own execution state from the pickled run).
+        jobs: worker count; 1 evaluates inline.  More runs each
+            ``sweep()`` call's cells on a private
+            :class:`~repro.serve.supervisor.SpecializationService` of
+            ``jobs`` worker processes; a cell whose worker keeps dying
+            becomes a typed ``ServiceWorkerError`` record.
         context: the :class:`ExecutionContext` the sweep evaluates
             under; a fresh private one by default, so concurrent
             sweeps in one process never share caches or counters.
-        start_method: multiprocessing start method for
-            ``pool="process"`` (None = platform default; ``"spawn"``
-            exercises a cold interpreter per worker).
+        start_method: multiprocessing start method of the service's
+            workers (None = platform default; ``"spawn"`` exercises a
+            cold interpreter per worker).
         fleet: a :class:`~repro.runtime.fleet.DeviceFleet` to shard
-            the grid across instead of this sweeper's own pool
-            (``jobs``/``pool`` are then ignored).  Cells stripe over
-            the fleet's members under its placement policy and merge
-            back in grid order, bit-identical to an unfleeted sweep;
-            worker deaths surface as typed ``FleetWorkerError``
-            records, mirroring the ``WorkerCrashError`` contract.
-        trace: enable the sweep context's tracer.  Every cell records
-            an ``eval:<index>`` span (thread-pool cells become roots on
-            their worker threads); cells that traced inside a private
-            context of their own (a ``trace=True``
-            :class:`~repro.tuning.app_sweeps.HarnessRunner`, including
-            under ``pool="process"``) additionally graft their shipped
-            trace back in as a ``cell:<index>`` subtree.
+            the grid across instead (``jobs`` is then ignored); records
+            merge back in grid order, bit-identical to an unfleeted
+            sweep.
+        trace: enable the sweep context's tracer.  Inline cells record
+            an ``eval:<index>`` span; cells that traced inside a
+            private context of their own (a ``trace=True``
+            :class:`~repro.tuning.app_sweeps.HarnessRunner`, inline or
+            served) additionally graft their shipped trace back in as
+            a ``cell:<index>`` subtree.
     """
 
     def __init__(self, run: Callable[[dict], SweepRecord],
-                 jobs: int = 1, pool: str = "thread",
+                 jobs: int = 1,
                  context: Optional[ExecutionContext] = None,
                  start_method: Optional[str] = None,
                  trace: bool = False,
                  fleet=None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if pool not in POOLS:
-            raise ValueError(f"unknown pool {pool!r}; "
-                             f"expected one of {POOLS}")
         self.run = run
         self.jobs = jobs
-        self.pool = pool
         self.start_method = start_method
         self.fleet = fleet
         #: Every evaluation of this sweep is charged to this context —
@@ -175,10 +175,10 @@ class Sweeper:
                 new = self._eval_all(configs, base)
             else:
                 with tracer.span("sweep", "sweep", cells=len(configs),
-                                 jobs=self.jobs, pool=self.pool):
+                                 jobs=self.jobs):
                     new = self._eval_all(configs, base)
-                    # Per-cell aggregation: harness/process cells
-                    # traced in their own private context; fold each
+                    # Per-cell aggregation: harness cells traced in
+                    # their own private context; fold each
                     # shipped trace in as a child subtree, grid order.
                     for record in new:
                         if record.trace:
@@ -193,29 +193,29 @@ class Sweeper:
 
     def _eval_all(self, configs: List[dict],
                   base: int = 0) -> List[SweepRecord]:
+        """Records of *configs*, indexed from *base*, in grid order."""
         if self.fleet is not None:
-            # Shard the grid across the fleet's members; the fleet
-            # handles placement, typed crash records, and grid-order
-            # merge, and each cell's counters ride its record back
-            # into _account exactly as pool cells' do.
-            new = self.fleet.map_grid(self.run, configs, base)
-        elif self.jobs == 1 or len(configs) <= 1:
-            new = [self._eval(base + i, c)
-                   for i, c in enumerate(configs)]
-        elif self.pool == "process":
-            new = self._sweep_process(configs, base)
-        else:
-            # Worker threads each evaluate whole configurations
-            # under the sweep's context; the run function builds
-            # its own GPU per call, so workers never share
-            # simulator buffers.
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                new = list(pool.map(
-                    self._eval, range(base, base + len(configs)),
-                    configs))
-        # Grid order regardless of pool type or completion order.
-        new.sort(key=lambda r: r.index)
-        return new
+            # The fleet handles placement, typed crash records, and
+            # grid-order merge; each cell's counters ride its record
+            # back into _account exactly as served cells' do.
+            return self.fleet.map_grid(self.run, configs, base)
+        if self.jobs == 1 or len(configs) <= 1:
+            return [self._eval(base + i, c)
+                    for i, c in enumerate(configs)]
+        require_picklable(self.run)
+        from repro.serve.supervisor import (ServiceConfig,
+                                            SpecializationService)
+        from repro.serve.worker import SweepCell
+        # The queue holds the whole grid, so admission never sheds.
+        config = ServiceConfig(workers=min(self.jobs, len(configs)),
+                               queue_capacity=len(configs),
+                               start_method=self.start_method)
+        with SpecializationService(config) as service:
+            futures = [service.submit(SweepCell(self.run, dict(c),
+                                                base + i))
+                       for i, c in enumerate(configs)]
+            return [served_record(f, c, base + i)
+                    for i, (f, c) in enumerate(zip(futures, configs))]
 
     def _account(self, new: List[SweepRecord],
                  before: Dict[str, int]) -> None:
@@ -260,45 +260,6 @@ class Sweeper:
         return {name[len("cache."):]: int(value)
                 for name, value in gauges.items()
                 if name.startswith("cache.")}
-
-    def _sweep_process(self, configs: List[dict],
-                       base: int = 0) -> List[SweepRecord]:
-        try:
-            pickle.dumps(self.run)
-        except Exception as exc:
-            raise ValueError(
-                "pool='process' needs a picklable run callable; "
-                "closures over arrays are not — use a HarnessRunner "
-                f"(repro.tuning.app_sweeps) instead: {exc}") from exc
-        import multiprocessing as mp
-        mp_context = (mp.get_context(self.start_method)
-                      if self.start_method else None)
-        results: Dict[int, SweepRecord] = {}
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 mp_context=mp_context) as pool:
-            futures = [pool.submit(_process_eval,
-                                   (base + i, self.run, dict(config)))
-                       for i, config in enumerate(configs)]
-            # Collect in submission order rather than as_completed: a
-            # worker death breaks the whole executor, and per-future
-            # collection lets every victim config surface as a typed
-            # WorkerCrashError record instead of one opaque crash
-            # killing the sweep (and every already-finished record
-            # keeps its result).
-            for i, future in enumerate(futures):
-                try:
-                    index, record = future.result()
-                except (BrokenExecutor, OSError, RuntimeError) as exc:
-                    index = base + i
-                    record = SweepRecord(
-                        config=dict(configs[i]), seconds=float("inf"),
-                        valid=False,
-                        error=(f"WorkerCrashError: process-pool worker "
-                               f"died evaluating cell {index} "
-                               f"({type(exc).__name__}: {exc})"),
-                        index=index)
-                results[index] = record
-        return [results[i] for i in sorted(results)]
 
     def gang_cache_stats(self) -> Dict[str, int]:
         """Gang-prototype hit/miss counters for the last sweep call."""

@@ -1,6 +1,6 @@
 """Shared test fixtures and environment setup.
 
-Process-pool sweeps with ``start_method="spawn"`` launch cold
+Served sweeps with ``start_method="spawn"`` launch cold
 interpreters that re-import :mod:`repro` from scratch; since the
 package is run from the source tree (not installed), the spawned
 children need ``src`` on ``PYTHONPATH``.  Normal forked workers and

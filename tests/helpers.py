@@ -1,13 +1,79 @@
-"""Shared test utilities: compile-and-run harness for kernel snippets."""
+"""Shared test utilities: compile-and-run harness for kernel snippets,
+and a driver that calls a function from another thread or process."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import multiprocessing
+import threading
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 import numpy as np
 
 from repro.gpusim import GPU, TESLA_C1060, TESLA_C2070
 from repro.kernelc import nvcc
+
+T = TypeVar("T")
+
+CALLERS = ("inline", "thread", "process")
+
+
+def call_from(caller: str, fn: Callable[[], T],
+              timeout: float = 300.0) -> T:
+    """Call ``fn()`` from ``caller`` and return its result.
+
+    ``inline`` calls it on this thread, ``thread`` on a fresh helper
+    thread, and ``process`` in a forked, non-daemonic child process
+    (so ``fn`` may start worker processes of its own) whose result
+    comes back pickled.  An exception ``fn`` raises is re-raised here;
+    a caller that neither returns nor raises within ``timeout``
+    seconds fails with ``TimeoutError``.
+    """
+    if caller not in CALLERS:
+        raise ValueError(f"caller must be one of {CALLERS}, not {caller!r}")
+    if caller == "inline":
+        return fn()
+    if caller == "thread":
+        out: Dict[str, object] = {}
+
+        def target():
+            try:
+                out["value"] = fn()
+            except BaseException as exc:  # re-raised on the caller
+                out["error"] = exc
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout)
+        if worker.is_alive():
+            raise TimeoutError(f"helper thread ran over {timeout} s")
+    else:
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def target():
+            try:
+                send.send(("value", fn()))
+            except BaseException as exc:  # re-raised on the caller
+                send.send(("error", exc))
+
+        child = ctx.Process(target=target)
+        child.start()
+        send.close()
+        try:
+            if not recv.poll(timeout):
+                raise TimeoutError(f"child process ran over {timeout} s")
+            kind, payload = recv.recv()
+        finally:
+            recv.close()
+            child.join(timeout)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        out = {kind: payload}
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class KernelHarness:

@@ -70,16 +70,16 @@ def exhaustive():
 
 @pytest.fixture(scope="module")
 def tuned():
-    """Lazily cached tuner runs, keyed by (app, jobs, pool)."""
+    """Lazily cached tuner runs, keyed by (app, jobs)."""
     cache = {}
 
-    def get(app, jobs=1, pool="thread"):
-        key = (app, jobs, pool)
+    def get(app, jobs=1):
+        key = (app, jobs)
         if key not in cache:
             problem, axes = APP_GRIDS[app]
             cache[key] = harness_autotune(app, problem, axes, seed=11,
                                           memory_bytes=8 << 20,
-                                          jobs=jobs, pool=pool)
+                                          jobs=jobs)
         return cache[key]
 
     return get
@@ -119,14 +119,11 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("app", sorted(APP_GRIDS))
     def test_bit_identical_across_pools(self, app, tuned):
         inline = tuned(app, jobs=1)
-        threads = tuned(app, jobs=4, pool="thread")
-        procs = tuned(app, jobs=2, pool="process")
-        for other in (threads, procs):
-            assert _comparable(other.records) == \
-                _comparable(inline.records)
-            assert other.result.sequence == inline.result.sequence
-            assert other.decisions == inline.decisions
-            assert other.result.best.key() == inline.result.best.key()
+        served = tuned(app, jobs=2)
+        assert _comparable(served.records) == _comparable(inline.records)
+        assert served.result.sequence == inline.result.sequence
+        assert served.decisions == inline.decisions
+        assert served.result.best.key() == inline.result.best.key()
 
     def test_harness_sweep_autotune_flag(self):
         problem, axes = APP_GRIDS["piv"]

@@ -7,7 +7,6 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults import hooks as fault_hooks
-from repro.gpupf import cache as gpupf_cache
 from repro.gpusim import (GPU, TESLA_C1060, TESLA_C2070, default_engine,
                           gang_cache_stats, plan_cache_stats,
                           set_default_engine)
@@ -119,8 +118,8 @@ class TestContextState:
     def test_kernel_cache_shim_follows_context(self):
         ctx = ExecutionContext()
         with using_context(ctx):
-            assert gpupf_cache.DEFAULT_CACHE is ctx.kernel_cache
-        assert (gpupf_cache.DEFAULT_CACHE
+            assert current_context().kernel_cache is ctx.kernel_cache
+        assert (current_context().kernel_cache
                 is default_context().kernel_cache)
 
     def test_gpu_captures_construction_context(self):
@@ -152,10 +151,10 @@ class TestContextFaults:
     def test_hooks_shim_sees_context_injector(self):
         ctx = ExecutionContext()
         with using_context(ctx):
-            assert fault_hooks.ACTIVE is None
+            assert current_context().injector is None
             with fault_hooks.injecting(FaultPlan(seed=5)) as injector:
-                assert fault_hooks.ACTIVE is injector
+                assert current_context().injector is injector
                 assert ctx.injector is injector
-            assert fault_hooks.ACTIVE is None
+            assert current_context().injector is None
         # Installing on a scoped context never touches the default one.
         assert default_context().injector is None

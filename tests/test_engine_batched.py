@@ -582,13 +582,14 @@ def test_sweeper_cache_report_attributes_reuse():
     assert report["gang_misses"] == 1 and report["gang_hits"] == 3
 
 
-def test_sweeper_jobs_captures_failures():
-    def run(config):
-        if config["n"] == 2:
-            raise RuntimeError("boom")
-        return SweepRecord(config=config, seconds=float(config["n"]))
+def _boom_at_2(config):
+    if config["n"] == 2:
+        raise RuntimeError("boom")
+    return SweepRecord(config=config, seconds=float(config["n"]))
 
-    records = Sweeper(run, jobs=3).sweep([{"n": i} for i in range(4)])
+
+def test_sweeper_jobs_captures_failures():
+    records = Sweeper(_boom_at_2, jobs=3).sweep([{"n": i} for i in range(4)])
     assert [r.valid for r in records] == [True, True, False, True]
     assert "boom" in records[2].error
 

@@ -37,6 +37,7 @@ from repro.gpupf import (KernelCache, Pipeline, PipelineError,
 from repro.gpusim import GPU, TESLA_C2070
 from repro.kernelc.compiler import CompileError, nvcc
 from repro.kernelc.templates import ctrt_block
+from repro.runtime import current_context
 
 # ---------------------------------------------------------------------
 # Small app workloads (chaos runs pay a fresh compile per run, so the
@@ -89,7 +90,7 @@ APPS = {"piv": run_piv_app, "backprojection": run_bp_app,
 
 @pytest.fixture(scope="module")
 def baselines():
-    assert fault_hooks.ACTIVE is None
+    assert current_context().injector is None
     return {name: run() for name, run in APPS.items()}
 
 
@@ -139,7 +140,7 @@ def run_scale(pipe):
 
 @pytest.fixture(scope="module")
 def scale_baseline():
-    assert fault_hooks.ACTIVE is None
+    assert current_context().injector is None
     return run_scale(build_scale_pipeline())
 
 
@@ -192,13 +193,13 @@ class TestChaosSweep:
             np.testing.assert_array_equal(out1, out2)
 
     def test_injection_disabled_by_default(self):
-        assert fault_hooks.ACTIVE is None
+        assert current_context().injector is None
 
     def test_nested_install_rejected(self):
         with injecting(FaultPlan(seed=0)):
             with pytest.raises(RuntimeError):
                 fault_hooks.install(FaultPlan(seed=1))
-        assert fault_hooks.ACTIVE is None
+        assert current_context().injector is None
 
 
 # ---------------------------------------------------------------------
@@ -575,7 +576,7 @@ class CrashOnceRunner:
 class TestFleetChaos:
     """Kill one fleet worker mid-shard: the merged result is still
     bit-identical (redispatch absorbed the death) or a typed
-    ``FleetWorkerError`` (budget exhausted) — never a hang or a bare
+    ``ServiceWorkerError`` (budget exhausted) — never a hang or a bare
     exception."""
 
     CONFIGS = [{"cell": i} for i in range(4)]
@@ -592,8 +593,7 @@ class TestFleetChaos:
         run = CrashOnceRunner(sentinel=sentinel, crash_cell=2)
         expected = self.baseline(
             CrashOnceRunner(sentinel=sentinel, crash_cell=-1))
-        with DeviceFleet(["c2070"] * 2, pool="process",
-                         max_redispatch=1) as fleet:
+        with DeviceFleet(["c2070"] * 2, max_redispatch=1) as fleet:
             records = fleet.map_grid(run, list(self.CONFIGS))
             got = [(r.index, r.key(), r.seconds, r.valid)
                    for r in records]
@@ -607,12 +607,11 @@ class TestFleetChaos:
         from repro.serve import KamikazeRunner
         from repro.runtime import DeviceFleet
         run = KamikazeRunner(crash_cells=(1,))
-        with DeviceFleet(["c2070"] * 2, pool="process",
-                         max_redispatch=1) as fleet:
+        with DeviceFleet(["c2070"] * 2, max_redispatch=1) as fleet:
             records = fleet.map_grid(run, list(self.CONFIGS))
             by_cell = {r.config["cell"]: r for r in records}
             assert not by_cell[1].valid
-            assert by_cell[1].error.startswith("FleetWorkerError")
+            assert by_cell[1].error.startswith("ServiceWorkerError")
             # survivors keep their results, in grid order
             for cell in (0, 2, 3):
                 assert by_cell[cell].valid
@@ -625,8 +624,7 @@ class TestFleetChaos:
         """A revived member keeps serving after its worker died."""
         from repro.runtime import DeviceFleet
         from repro.serve import KamikazeRunner
-        with DeviceFleet(["c2070"], pool="process",
-                         max_redispatch=0) as fleet:
+        with DeviceFleet(["c2070"], max_redispatch=0) as fleet:
             first = fleet.map_grid(KamikazeRunner(crash_cells=(0,)),
                                    [{"cell": 0}])
             assert not first[0].valid

@@ -1,12 +1,12 @@
 """DeviceFleet: sharding, placement, reports, and the merge contract.
 
 The fleet's core promise is *result transparency*: sharding a workload
-across N members — any backend, any placement — merges to exactly the
+across N members — any placement — merges to exactly the
 records/results a single-device sequential run produces.  Placement
-policies only decide where work runs; typed errors
-(:class:`FleetPlacementError`, :class:`FleetWorkerError`) cover the
-ways that can fail.  Worker-death chaos lives in
-``tests/test_faults_chaos.py``.
+policies only decide where work is accounted; typed errors
+(:class:`FleetPlacementError`, the service's
+:class:`ServiceWorkerError`) cover the ways that can fail.
+Worker-death chaos lives in ``tests/test_faults_chaos.py``.
 """
 
 import time
@@ -15,11 +15,12 @@ import pytest
 
 from repro.apps.harness import ProblemSpec, RunRequest, run_request
 from repro.apps.piv import PIVConfig, PIVProblem
-from repro.faults.errors import DeadlineExceeded
-from repro.runtime import (DeviceFleet, FleetError, FleetPlacementError,
-                           FleetWorkerError)
+from repro.runtime import DeviceFleet, FleetError, FleetPlacementError
+from repro.serve.errors import ServiceDeadlineError
+from repro.tuning.sweep import SweepRecord
 from repro.tuning.app_sweeps import HarnessRunner, harness_sweep
 from repro.tuning.sweep import Sweeper, grid_configs
+from tests.helpers import call_from
 
 PROBLEM = PIVProblem("fleet", 40, 40, mask=8, offs=3)
 AXES = dict(rb=[1, 2], threads=[32, 64])
@@ -36,6 +37,10 @@ def piv_request(device="c2070", seed=3, **kw):
                                        functional=True), **kw)
 
 
+def explode(config) -> SweepRecord:
+    raise ValueError(f"cell {config['cell']} refused")
+
+
 def comparable(records):
     return [(r.index, r.key(), r.seconds, r.reg_count, r.occupancy,
              r.valid, r.error) for r in records]
@@ -47,28 +52,24 @@ def comparable(records):
 
 class TestPlacement:
     def test_members_are_labeled_per_ordinal(self):
-        with DeviceFleet(["c2070", "c2070", "k20"],
-                         pool="inline") as fleet:
+        with DeviceFleet(["c2070", "c2070", "k20"]) as fleet:
             assert [m.key for m in fleet.members] \
                 == ["c2070:0", "c2070:1", "k20:2"]
 
     def test_unknown_device_rejected(self):
         with pytest.raises(FleetPlacementError):
-            DeviceFleet(["gtx480"], pool="inline")
+            DeviceFleet(["gtx480"])
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
-            DeviceFleet([], pool="inline")
+            DeviceFleet([])
 
-    def test_bad_pool_and_placement_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceFleet(["c2070"], pool="mpi")
+    def test_bad_placement_rejected(self):
         with pytest.raises(ValueError):
             DeviceFleet(["c2070"], placement="random")
 
     def test_eligibility_is_by_device_model(self):
-        with DeviceFleet(["c1060", "c2070", "c1060"],
-                         pool="inline") as fleet:
+        with DeviceFleet(["c1060", "c2070", "c1060"]) as fleet:
             assert [m.key for m in fleet.eligible("c1060")] \
                 == ["c1060:0", "c1060:2"]
             assert fleet.eligible("k20") == []
@@ -76,7 +77,7 @@ class TestPlacement:
                 fleet.place("k20")
 
     def test_least_loaded_stripes(self):
-        with DeviceFleet(["c2070"] * 3, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 3) as fleet:
             picks = []
             for _ in range(6):
                 member = fleet.place("c2070")
@@ -85,25 +86,25 @@ class TestPlacement:
             assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_stripes(self):
-        with DeviceFleet(["c2070"] * 2, pool="inline",
+        with DeviceFleet(["c2070"] * 2,
                          placement="round-robin") as fleet:
             picks = [fleet.place("c2070").ordinal for _ in range(4)]
             assert picks == [0, 1, 0, 1]
 
     def test_affinity_is_deterministic_and_sticky(self):
-        with DeviceFleet(["c2070"] * 4, pool="inline",
+        with DeviceFleet(["c2070"] * 4,
                          placement="affinity") as fleet:
             a = fleet.place("c2070", affinity_key=("piv", 3))
             b = fleet.place("c2070", affinity_key=("piv", 3))
             assert a is b  # identical work pins to one member
         # and the pick survives fleet reconstruction (stable hash)
-        with DeviceFleet(["c2070"] * 4, pool="inline",
+        with DeviceFleet(["c2070"] * 4,
                          placement="affinity") as fleet2:
             c = fleet2.place("c2070", affinity_key=("piv", 3))
             assert c.ordinal == a.ordinal
 
     def test_shutdown_fleet_refuses_work(self):
-        fleet = DeviceFleet(["c2070"], pool="inline")
+        fleet = DeviceFleet(["c2070"])
         fleet.shutdown()
         with pytest.raises(FleetError):
             fleet.run_requests([piv_request()])
@@ -118,11 +119,14 @@ class TestRunRequests:
     def sequential(self):
         return [run_request(piv_request(seed=s)) for s in range(4)]
 
-    @pytest.mark.parametrize("pool", ["inline", "thread"])
-    def test_homogeneous_merge_bit_identical(self, pool, sequential):
+    # ``caller`` is where the fleet is driven from: the test's own
+    # thread, or a helper thread.
+    @pytest.mark.parametrize("caller", ["inline", "thread"])
+    def test_homogeneous_merge_bit_identical(self, caller, sequential):
         reqs = [piv_request(seed=s) for s in range(4)]
-        with DeviceFleet(["c2070"] * 2, pool=pool) as fleet:
-            merged = fleet.run_requests(reqs)
+        with DeviceFleet(["c2070"] * 2) as fleet:
+            merged = call_from(caller,
+                               lambda: fleet.run_requests(reqs))
             for solo, sharded in zip(sequential, merged):
                 assert sharded.same_output(solo)
                 assert sharded.seconds == solo.seconds
@@ -131,7 +135,7 @@ class TestRunRequests:
             assert all(m.completed == 2 for m in fleet.members)
 
     def test_results_carry_member_attribution(self):
-        with DeviceFleet(["c2070"] * 2, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 2) as fleet:
             merged = fleet.run_requests(
                 [piv_request(seed=s) for s in range(4)])
             assert [r.worker for r in merged] \
@@ -142,21 +146,20 @@ class TestRunRequests:
                 for d in ("k20", "c2070", "c1060", "k20")]
         solo = {d: run_request(piv_request(device=d))
                 for d in ("c1060", "c2070", "k20")}
-        with DeviceFleet(["c1060", "c2070", "k20"],
-                         pool="inline") as fleet:
+        with DeviceFleet(["c1060", "c2070", "k20"]) as fleet:
             merged = fleet.run_requests(reqs)
             for req, res in zip(reqs, merged):
                 assert res.worker.startswith(req.spec.device + ":")
                 assert res.same_output(solo[req.spec.device])
 
     def test_missing_device_is_typed(self):
-        with DeviceFleet(["c1060"], pool="inline") as fleet:
+        with DeviceFleet(["c1060"]) as fleet:
             with pytest.raises(FleetPlacementError):
                 fleet.run_requests([piv_request(device="k20")])
 
     def test_warm_thread_members_hit_caches(self):
         reqs = [piv_request(seed=3) for _ in range(3)]
-        with DeviceFleet(["c2070"], pool="thread") as fleet:
+        with DeviceFleet(["c2070"]) as fleet:
             merged = fleet.run_requests(reqs)
             assert merged[0].same_output(merged[2])
             report = fleet.cache_report()
@@ -165,17 +168,17 @@ class TestRunRequests:
 
     def test_request_error_is_raised_at_its_position(self):
         bad = piv_request(seed=9, deadline=time.monotonic() - 1.0)
-        with DeviceFleet(["c2070"], pool="inline") as fleet:
-            with pytest.raises(DeadlineExceeded):
+        with DeviceFleet(["c2070"]) as fleet:
+            with pytest.raises(ServiceDeadlineError):
                 fleet.run_requests([piv_request(), bad])
 
     def test_return_errors_keeps_good_results(self):
         bad = piv_request(seed=9, deadline=time.monotonic() - 1.0)
-        with DeviceFleet(["c2070"], pool="inline") as fleet:
+        with DeviceFleet(["c2070"]) as fleet:
             out = fleet.run_requests([piv_request(), bad],
                                      return_errors=True)
             assert out[0].same_output(run_request(piv_request()))
-            assert isinstance(out[1], DeadlineExceeded)
+            assert isinstance(out[1], ServiceDeadlineError)
             health = fleet.health_report()
             assert health["status"] == "degraded"
             assert health["metrics"]["counters"]["fleet.errors"] == 1
@@ -191,28 +194,31 @@ class TestGridSharding:
         return harness_sweep("piv", PROBLEM, AXES, device="c2070",
                              memory_bytes=8 << 20)
 
-    @pytest.mark.parametrize("pool", ["inline", "thread"])
+    @pytest.mark.parametrize("caller", ["inline", "thread"])
     @pytest.mark.parametrize("placement",
                              ["least-loaded", "round-robin", "affinity"])
-    def test_fleet_sweep_bit_identical(self, pool, placement, baseline):
-        with DeviceFleet(["c2070"] * 2, pool=pool,
-                         placement=placement) as fleet:
-            sweeper = harness_sweep("piv", PROBLEM, AXES,
-                                    device="c2070",
-                                    memory_bytes=8 << 20, fleet=fleet)
+    def test_fleet_sweep_bit_identical(self, placement, caller,
+                                       baseline):
+        with DeviceFleet(["c2070"] * 2, placement=placement) as fleet:
+            sweeper = call_from(caller, lambda: harness_sweep(
+                "piv", PROBLEM, AXES, device="c2070",
+                memory_bytes=8 << 20, fleet=fleet))
             assert comparable(sweeper.records) \
                 == comparable(baseline.records)
 
     def test_process_backend_bit_identical(self, baseline):
-        with DeviceFleet(["c2070"] * 2, pool="process") as fleet:
-            sweeper = harness_sweep("piv", PROBLEM, AXES,
-                                    device="c2070",
-                                    memory_bytes=8 << 20, fleet=fleet)
-            assert comparable(sweeper.records) \
-                == comparable(baseline.records)
+        # The whole fleet, service included, lives in a child process.
+        def in_child():
+            with DeviceFleet(["c2070"] * 2) as fleet:
+                return comparable(harness_sweep(
+                    "piv", PROBLEM, AXES, device="c2070",
+                    memory_bytes=8 << 20, fleet=fleet).records)
+
+        assert call_from("process", in_child) \
+            == comparable(baseline.records)
 
     def test_sweeper_accounting_sees_fleet_cells(self, baseline):
-        with DeviceFleet(["c2070"] * 2, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 2) as fleet:
             runner = HarnessRunner("piv", piv_spec())
             sweeper = Sweeper(runner, fleet=fleet)
             sweeper.sweep(grid_configs(**AXES))
@@ -222,16 +228,13 @@ class TestGridSharding:
             assert sweeper.cache_report["plan_misses"] == 4
 
     def test_grid_rejects_unservable_device(self):
-        with DeviceFleet(["c1060"], pool="inline") as fleet:
+        with DeviceFleet(["c1060"]) as fleet:
             with pytest.raises(FleetPlacementError):
                 harness_sweep("piv", PROBLEM, AXES, device="k20",
                               memory_bytes=8 << 20, fleet=fleet)
 
     def test_invalid_cells_stay_typed_records(self):
-        def explode(config):
-            raise ValueError(f"cell {config['cell']} refused")
-
-        with DeviceFleet(["c2070"] * 2, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 2) as fleet:
             records = fleet.map_grid(explode, [{"cell": 0}, {"cell": 1}])
             assert all(not r.valid for r in records)
             assert all("ValueError" in r.error for r in records)
@@ -243,7 +246,7 @@ class TestGridSharding:
 
 class TestReports:
     def test_health_report_shape(self):
-        with DeviceFleet(["c1060", "k20"], pool="inline",
+        with DeviceFleet(["c1060", "k20"],
                          placement="round-robin") as fleet:
             fleet.run_requests([piv_request(device="c1060"),
                                 piv_request(device="k20")])
@@ -261,14 +264,14 @@ class TestReports:
     def test_modeled_time_accounting_sums_members(self):
         reqs = [piv_request(seed=s) for s in range(4)]
         solo_total = sum(run_request(r).seconds for r in reqs)
-        with DeviceFleet(["c2070"] * 2, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 2) as fleet:
             fleet.run_requests(reqs)
             assert fleet.busy_seconds() == pytest.approx(solo_total)
             # balanced striping: the makespan is about half the work
             assert fleet.makespan_seconds() < solo_total
 
     def test_metrics_namespace(self):
-        with DeviceFleet(["c2070"], pool="inline") as fleet:
+        with DeviceFleet(["c2070"]) as fleet:
             fleet.run_requests([piv_request()])
             counters = fleet.metrics.snapshot()["counters"]
             assert counters["fleet.dispatch"] == 1

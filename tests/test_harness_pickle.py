@@ -7,6 +7,7 @@ produce a bit-identical :class:`RunResult` even in a cold spawned
 interpreter.
 """
 
+import gc
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,6 +20,7 @@ from repro.apps.harness import (APP_IDS, ProblemSpec, RunRequest,
 from repro.apps.piv import PIVProblem
 from repro.apps.template_matching import MatchProblem
 from repro.faults import FaultPlan
+from repro.gpusim import GPU
 from repro.tuning.sweep import grid_configs
 
 # (problem, one grid point, sweep axes) per app — tiny shapes, since
@@ -147,3 +149,25 @@ class TestSpawnedBitIdentical:
         assert type(remote_err.value) is type(inline_err.value)
         assert str(remote_err.value) == str(inline_err.value)
         assert remote_err.value.site == inline_err.value.site
+
+
+class TestRequestLifetime:
+    @staticmethod
+    def _live_gpus() -> int:
+        return sum(isinstance(o, GPU) for o in gc.get_objects())
+
+    @pytest.mark.parametrize("app", sorted(APP_IDS))
+    def test_finished_request_frees_its_gpu(self, app):
+        # Reference counting alone must free a finished request's
+        # simulated device and memory; nothing may wait for the
+        # cyclic GC.
+        request = _request(app)
+        run_request(request)  # warm imports and module-level caches
+        gc.collect()
+        gc.disable()
+        try:
+            before = self._live_gpus()
+            run_request(request)
+            assert self._live_gpus() == before
+        finally:
+            gc.enable()

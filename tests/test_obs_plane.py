@@ -544,7 +544,7 @@ class TestHarnessPropagation:
 
 class TestFleetTelemetry:
     def test_member_stats_surface_trace_counters(self):
-        with DeviceFleet(["c2070"] * 2, pool="inline") as fleet:
+        with DeviceFleet(["c2070"] * 2) as fleet:
             fleet.run_requests([piv_request() for _ in range(3)])
             health = fleet.health_report()
         rows = {row["member"]: row for row in health["members"]}
@@ -555,7 +555,7 @@ class TestFleetTelemetry:
         assert kinds.count("fleet.place") == 3
 
     def test_fleet_grafts_member_results(self, tmp_path):
-        with DeviceFleet(["c2070"], pool="inline") as fleet:
+        with DeviceFleet(["c2070"]) as fleet:
             fleet.enable_tracing()
             fleet.run_requests([piv_request()])
             path = fleet.export_trace(str(tmp_path / "fleet.json"))

@@ -558,37 +558,59 @@ class TestLatchTimeout:
 
 
 # ---------------------------------------------------------------------
-# Satellite 2: process-pool sweeps survive worker death.
+# Satellite 2: served sweeps survive worker death.
 # ---------------------------------------------------------------------
 
 class TestSweepWorkerCrash:
     def test_killed_worker_surfaces_as_typed_record(self):
         runner = KamikazeRunner(crash_cells=(3,))
-        sweeper = Sweeper(runner, jobs=2, pool="process")
+        sweeper = Sweeper(runner, jobs=2)
         records = sweeper.sweep(grid_configs(cell=[0, 1, 2, 3]))
         # Grid order survives the carnage.
         assert [r.index for r in records] == [0, 1, 2, 3]
-        # The victim is a typed WorkerCrashError record; every other
-        # record either finished normally or was collateral of the
-        # same pool breakage — never a hang or a bare exception.
+        # The victim is a typed ServiceWorkerError record; every record
+        # either finished normally or is that typed error — never a
+        # hang or a bare exception.
         assert not records[3].valid
-        assert "WorkerCrashError" in records[3].error
+        assert "ServiceWorkerError" in records[3].error
         for r in records:
-            assert r.valid or "WorkerCrashError" in r.error
+            assert r.valid or "ServiceWorkerError" in r.error
         taxonomy = sweeper.error_taxonomy()
-        assert taxonomy.get("WorkerCrashError", 0) >= 1
+        assert taxonomy.get("ServiceWorkerError", 0) >= 1
 
     def test_survivors_keep_their_results(self):
-        # jobs=2 on four cells with the *last* cell lethal: cell 0 is
-        # dispatched first and finishes before the pool can break.
+        # jobs=2 on four cells with the *last* cell lethal.
         runner = KamikazeRunner(crash_cells=(3,))
-        sweeper = Sweeper(runner, jobs=2, pool="process")
+        sweeper = Sweeper(runner, jobs=2)
         records = sweeper.sweep(grid_configs(cell=[0, 1, 2, 3]))
         survivors = [r for r in records if r.valid]
         assert survivors, "no cell survived a single worker death"
         for r in survivors:
             assert r.seconds == pytest.approx(
                 0.001 * (r.config["cell"] + 1))
+
+    @pytest.mark.parametrize("via", ["sweeper", "fleet"])
+    def test_worker_death_costs_only_its_cell(self, via):
+        # One lethal cell in eight: it is retried to the redispatch
+        # budget and recorded typed; no other cell is collateral.
+        runner = KamikazeRunner(crash_cells=(1,))
+        configs = grid_configs(cell=list(range(8)))
+        if via == "sweeper":
+            records = Sweeper(runner, jobs=2).sweep(configs)
+            budget = ServiceConfig().max_redispatch
+        else:
+            from repro.runtime import DeviceFleet
+            with DeviceFleet(["c2070"] * 2) as fleet:
+                records = fleet.map_grid(runner, configs)
+            budget = fleet.service.config.max_redispatch
+        assert [r.index for r in records] == list(range(8))
+        victim = records[1]
+        assert not victim.valid
+        assert victim.error.startswith("ServiceWorkerError")
+        assert f"lost {1 + budget} workers" in victim.error
+        for r in records[:1] + records[2:]:
+            assert r.valid, r.error
+            assert r.seconds == 0.001 * (r.config["cell"] + 1)
 
 
 # ---------------------------------------------------------------------

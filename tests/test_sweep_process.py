@@ -1,9 +1,11 @@
-"""Process-pool sweeps: ordering, bit-identity, chaos, ergonomics.
+"""Served sweeps (``jobs>1``): ordering, bit-identity, chaos, ergonomics.
 
 The contract under test: a sweep's result is a pure function of
-(runner, grid) — worker count, pool flavor, and completion order must
-leave no trace in the records.
+(runner, grid) — worker count and completion order must leave no
+trace in the records.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from repro.faults import FaultPlan
 from repro.tuning.app_sweeps import HarnessRunner, harness_sweep
 from repro.tuning.sweep import (SweepRecord, Sweeper, best_record,
                                 grid_configs)
+from tests.helpers import call_from
 
-# Small grids: every process test pays real subprocess overhead.
+# Small grids: every served test pays real subprocess overhead.
 APP_GRIDS = {
     "piv": (
         PIVProblem("sp", 40, 40, mask=8, offs=3),
@@ -36,11 +39,18 @@ APP_GRIDS = {
 }
 
 
-def _sweep(app, jobs=1, pool="thread", fault_plan=None):
+def _sweep(app, jobs=1, fault_plan=None):
     problem, axes = APP_GRIDS[app]
     return harness_sweep(app, problem, axes, seed=11,
                          memory_bytes=8 << 20, fault_plan=fault_plan,
-                         jobs=jobs, pool=pool)
+                         jobs=jobs)
+
+
+def _uneven_run(config):
+    # Uneven per-config cost makes completion order differ from
+    # submission order.
+    time.sleep(0.02 * (3 - config["n"] % 4))
+    return SweepRecord(config=config, seconds=float(config["n"]))
 
 
 def _comparable(records):
@@ -50,29 +60,29 @@ def _comparable(records):
 
 
 class TestOrderingAndIdentity:
-    @pytest.mark.parametrize("pool", ["thread", "process"])
+    # ``caller`` is where the served sweep is driven from: a helper
+    # thread, or a forked child process that starts its own service.
+    @pytest.mark.parametrize("caller", ["thread", "process"])
     @pytest.mark.parametrize("app", sorted(APP_GRIDS))
-    def test_parallel_matches_sequential(self, app, pool):
+    def test_parallel_matches_sequential(self, app, caller):
         # Satellite contract: records come back in grid order with
-        # identical contents regardless of jobs / pool flavor.
+        # identical contents regardless of jobs or of the caller.
+        def served():
+            par = _sweep(app, jobs=4)
+            return (_comparable(par.records), par.cache_report,
+                    best_record(par.records).config)
+
         seq = _sweep(app, jobs=1)
-        par = _sweep(app, jobs=4, pool=pool)
-        assert _comparable(par.records) == _comparable(seq.records)
-        assert par.cache_report == seq.cache_report
-        assert (best_record(par.records).config
-                == best_record(seq.records).config)
+        records, cache_report, best = call_from(caller, served)
+        assert records == _comparable(seq.records)
+        assert cache_report == seq.cache_report
+        assert best == best_record(seq.records).config
 
     def test_records_sorted_by_grid_index(self):
-        # Uneven per-config cost makes completion order differ from
-        # submission order; the result must not show it.
-        import time
-
-        def run(config):
-            time.sleep(0.02 * (3 - config["n"] % 4))
-            return SweepRecord(config=config, seconds=float(config["n"]))
-
+        # Completion order differs from submission order; the result
+        # must not show it.
         configs = grid_configs(n=list(range(8)))
-        records = Sweeper(run, jobs=4).sweep(configs)
+        records = Sweeper(_uneven_run, jobs=4).sweep(configs)
         assert [r.config["n"] for r in records] == list(range(8))
         assert [r.index for r in records] == list(range(8))
 
@@ -84,15 +94,13 @@ class TestProcessPoolErgonomics:
         def run(config):
             return SweepRecord(config=config, seconds=float(img.sum()))
 
-        sweeper = Sweeper(run, jobs=2, pool="process")
+        sweeper = Sweeper(run, jobs=2)
         with pytest.raises(ValueError, match="HarnessRunner"):
             sweeper.sweep(grid_configs(n=[1, 2]))
 
-    def test_bad_pool_and_jobs_rejected(self):
+    def test_bad_jobs_rejected(self):
         run = HarnessRunner("piv", ProblemSpec(
             "piv", APP_GRIDS["piv"][0]))
-        with pytest.raises(ValueError):
-            Sweeper(run, pool="fiber")
         with pytest.raises(ValueError):
             Sweeper(run, jobs=0)
 
@@ -103,8 +111,7 @@ class TestProcessPoolErgonomics:
         sweeper = harness_sweep("piv", problem,
                                 {"rb": [2], "threads": [32, 64]},
                                 seed=11, memory_bytes=8 << 20,
-                                jobs=2, pool="process",
-                                start_method="spawn")
+                                jobs=2, start_method="spawn")
         assert all(r.valid for r in sweeper.records)
         baseline = _sweep("piv", jobs=1)
         assert [r.seconds for r in sweeper.records] == \
@@ -119,8 +126,7 @@ class TestChaosUnderProcessPool:
         # sweep behaves identically inline and across processes.
         plan = FaultPlan(seed=4, counts={"nvcc.compile": 1})
         inline = _sweep("template_matching", jobs=1, fault_plan=plan)
-        procs = _sweep("template_matching", jobs=2, pool="process",
-                       fault_plan=plan)
+        procs = _sweep("template_matching", jobs=2, fault_plan=plan)
         assert _comparable(procs.records) == _comparable(inline.records)
         # The fault actually fired (absorbed by the compile retry
         # budget) — this was not a fault-free run.
@@ -134,7 +140,7 @@ class TestChaosUnderProcessPool:
         # typed CompileFault in every worker, recorded per-record.
         plan = FaultPlan(seed=4, counts={"nvcc.compile": 1})
         inline = _sweep("piv", jobs=1, fault_plan=plan)
-        procs = _sweep("piv", jobs=2, pool="process", fault_plan=plan)
+        procs = _sweep("piv", jobs=2, fault_plan=plan)
         assert _comparable(procs.records) == _comparable(inline.records)
         assert not any(r.valid for r in procs.records)
         assert all("CompileFault" in r.error for r in procs.records)

@@ -269,13 +269,13 @@ TM_PROBLEM = MatchProblem("sp", frame_h=60, frame_w=80, tmpl_h=16,
 TM_AXES = {"tile": [(8, 8)], "threads": [32, 64]}
 
 
-def _tm_sweep(engine, jobs=1, pool="thread"):
+def _tm_sweep(engine, jobs=1):
     # functional=True executes every block, and the matcher's barriers
     # split gangs into multiple quanta: each cell's launches replay
     # recorded traces inside the cell's own (hermetic) context.
     return harness_sweep("template_matching", TM_PROBLEM, TM_AXES,
                          seed=11, memory_bytes=8 << 20, engine=engine,
-                         functional=True, jobs=jobs, pool=pool)
+                         functional=True, jobs=jobs)
 
 
 def _modeled(records):
@@ -285,16 +285,16 @@ def _modeled(records):
 
 class TestSweeperTraceCache:
     def test_thread_pool_reuses_traces(self):
-        traced = _tm_sweep("traced", jobs=2, pool="thread")
+        traced = _tm_sweep("traced", jobs=2)
         stats = traced.trace_cache_stats()
         assert stats["records"] > 0
         assert stats["hits"] > 0
         # Modeled results match the interpreter's exactly.
-        batched = _tm_sweep("batched", jobs=2, pool="thread")
+        batched = _tm_sweep("batched", jobs=2)
         assert _modeled(traced.records) == _modeled(batched.records)
 
     def test_process_pool_counters_ship_back(self):
-        traced = _tm_sweep("traced", jobs=2, pool="process")
+        traced = _tm_sweep("traced", jobs=2)
         stats = traced.trace_cache_stats()
         assert stats["records"] > 0
         assert stats["hits"] > 0

@@ -152,11 +152,7 @@ class TestOrderingContracts:
         # The tuner sweeps in several small batches over one Sweeper;
         # indices must keep counting (aliasing used to re-start at 0,
         # which scrambled slowest_report cell ids and trace grafts).
-        def run(config):
-            return SweepRecord(config=config,
-                               seconds=float(config["n"]))
-
-        sweeper = Sweeper(run, jobs=2)
+        sweeper = Sweeper(_seconds_from_n, jobs=2)
         sweeper.sweep(grid_configs(n=[3, 1]))
         sweeper.sweep(grid_configs(n=[2]))
         sweeper.sweep(grid_configs(n=[5, 4]))
@@ -164,6 +160,10 @@ class TestOrderingContracts:
         assert [r.config["n"] for r in sweeper.records] == \
             [3, 1, 2, 5, 4]
         assert best_record(sweeper.records).index == 1
+
+
+def _seconds_from_n(config):
+    return SweepRecord(config=config, seconds=float(config["n"]))
 
 
 class TestGrids:
