@@ -40,22 +40,30 @@ import pytest
 
 import numpy as np
 
-from benchmarks.common import piv_images, timed, tm_frames, \
-    write_bench_json
+from benchmarks.common import bench_header, piv_images, timed, \
+    tm_frames, write_bench_json
 from repro.apps.piv.host import PIVConfig, PIVProcessor
 from repro.apps.piv.problems import MASK_SET
 from repro.apps.template_matching.host import MatchConfig, \
     TemplateMatcher
 from repro.apps.template_matching.problems import PATIENTS, PATIENTS_FULL
-from repro.gpusim import GPU, TESLA_C1060, TESLA_C2070, \
-    trace_cache_stats
+from repro.gpusim import GPU, TESLA_C1060, TESLA_C2070
 from repro.gpusim.engine import DEFAULT_BATCH_BLOCKS
 from repro.kernelc import nvcc
+from repro.runtime import current_context
 
 #: Required wall-clock advantage of the batched engine over the serial
 #: oracle on the sweep workloads (PR 6 acceptance bar), and of the
 #: traced engine over warm batched (aggregate over the traced cases).
 SPEEDUP_FLOOR = 3.0
+
+
+def _trace_counters() -> dict:
+    """The current context's trace-JIT counters, unprefixed
+    (``hits`` / ``misses`` / ``records`` / ``deopts`` / ``aborts``)."""
+    return {name[len("trace_"):]: count for name, count
+            in current_context().cache_counters().items()
+            if name.startswith("trace_")}
 
 
 def _counter_delta(before: dict, after: dict) -> dict:
@@ -90,10 +98,10 @@ def _piv_case(problem, rb: int, threads: int,
     # reuse addresses), so exactness is asserted between equal run
     # indices.
     wall_bw, res_bw = _best_of(procs["batched"].run, img_a, img_b)
-    counters = dict(trace_cache_stats())
+    counters = _trace_counters()
     procs["traced"].run(img_a, img_b)
     wall_t, res_t = _best_of(procs["traced"].run, img_a, img_b)
-    counters = _counter_delta(counters, trace_cache_stats())
+    counters = _counter_delta(counters, _trace_counters())
     suffix = "" if device is TESLA_C2070 else "-c1060"
     return {
         "name": f"piv-{problem.name}-rb{rb}-t{threads}{suffix}",
@@ -134,10 +142,10 @@ def _tm_case(problem, tile, threads: int) -> dict:
     wall_s, res_s = timed(matchers["serial"].match, frames[0])
     # Warm-vs-warm JIT comparison; equal run indices, as in _piv_case.
     wall_bw, res_bw = _best_of(matchers["batched"].match, frames[0])
-    counters = dict(trace_cache_stats())
+    counters = _trace_counters()
     matchers["traced"].match(frames[0])
     wall_t, res_t = _best_of(matchers["traced"].match, frames[0])
-    counters = _counter_delta(counters, trace_cache_stats())
+    counters = _counter_delta(counters, _trace_counters())
     return {
         "name": f"tm-{problem.name}-{tile_w}x{tile_h}-t{threads}",
         "workload": "Table 6.21 (template matching, full-size)",
@@ -236,6 +244,7 @@ def run_engine_bench() -> dict:
     total_bw = sum(c["wall_batched_warm_s"] for c in traced)
     total_t = sum(c["wall_traced_s"] for c in traced)
     payload = {
+        **bench_header(),
         "bench": "engine",
         "engines": ["serial", "batched", "traced"],
         "batch_blocks": DEFAULT_BATCH_BLOCKS,

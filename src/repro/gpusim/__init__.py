@@ -15,18 +15,14 @@ paper.  Generation-conditional rules live on each device's declarative
 from repro.gpusim.device import (DEVICES, DeviceCaps, DeviceSpec,
                                  TESLA_C1060, TESLA_C2070, TESLA_K20,
                                  default_caps)
-from repro.gpusim.engine import (ENGINES, default_engine, gang_cache_stats,
-                                 resolve_engine, set_default_engine)
-from repro.gpusim.executor import (clear_plan_cache, plan_cache_stats,
-                                   plan_for)
+from repro.gpusim.engine import ENGINES, resolve_engine
+from repro.gpusim.executor import clear_plan_cache, plan_for
 from repro.gpusim.launcher import GPU, LaunchResult
 from repro.gpusim.occupancy import OccupancyError, occupancy
-from repro.gpusim.trace import GangTrace, trace_cache_stats
+from repro.gpusim.trace import GangTrace
 
 __all__ = ["DeviceSpec", "DeviceCaps", "default_caps", "DEVICES",
            "TESLA_C1060", "TESLA_C2070", "TESLA_K20", "GPU",
            "LaunchResult", "occupancy", "OccupancyError",
-           "ENGINES", "default_engine", "set_default_engine",
-           "resolve_engine", "plan_for", "plan_cache_stats",
-           "clear_plan_cache", "gang_cache_stats", "GangTrace",
-           "trace_cache_stats"]
+           "ENGINES", "resolve_engine", "plan_for", "clear_plan_cache",
+           "GangTrace"]

@@ -68,24 +68,7 @@ _LANE_IDS = np.arange(WARP, dtype=np.int64)
 _CTAID_KEYS = ("ctaid.x", "ctaid.y", "ctaid.z")
 
 
-def default_engine() -> str:
-    """The current context's engine, used when a launch names none."""
-    return current_context().engine
-
-
-def set_default_engine(name: str) -> str:
-    """Set the current context's engine; returns the previous one.
-
-    The name is stored as given (no ``REPRO_ENGINE`` upgrade — that
-    applies when launches resolve), so a context reads back exactly
-    the engine it was told to default to.
-    """
-    resolved = resolve_engine(name, upgrade=False)
-    return current_context().set_engine(resolved)
-
-
-def resolve_engine(name: Optional[str], ctx=None,
-                   upgrade: bool = True) -> str:
+def resolve_engine(name: Optional[str], ctx=None) -> str:
     """Validate an ``engine=`` argument (None selects *ctx*'s default).
 
     The ``REPRO_ENGINE`` environment variable upgrades ``"batched"``
@@ -95,7 +78,7 @@ def resolve_engine(name: Optional[str], ctx=None,
     """
     if name is None or name == "auto":
         name = (ctx or current_context()).engine
-    env = os.environ.get(ENGINE_ENV) if upgrade else None
+    env = os.environ.get(ENGINE_ENV)
     if env:
         if env not in ENGINES:
             raise SimError(
@@ -107,7 +90,7 @@ def resolve_engine(name: Optional[str], ctx=None,
         raise SimError(
             f"unknown execution engine {name!r}; valid engines are "
             + ", ".join(repr(e) for e in ENGINES)
-            + f" (pass engine=..., call set_default_engine(), or set "
+            + f" (pass engine=..., call ctx.set_engine(), or set "
             f"{ENGINE_ENV}=traced to upgrade batched launches)")
     return name
 
@@ -123,15 +106,17 @@ def run_blocks_batched(kernel: IRKernel, device: DeviceSpec,
                        textures: Optional[Dict[str, TextureBinding]] = None,
                        batch_blocks: Optional[int] = None,
                        ctx=None,
-                       traced: bool = False,
+                       trace_counts: Optional[Dict[str, int]] = None,
                        ) -> List[BlockStats]:
     """Execute *indices* blocks gang-batched; stats in index order.
 
-    With ``traced=True`` gang warps record/replay compiled traces
-    (:mod:`repro.gpusim.trace`); results stay bit-identical — the
-    trace machinery deoptimizes to this interpreter on any guard
-    failure.  Callers must not enable it while a fault injector is
-    armed (the launcher enforces this).
+    With a *trace_counts* dict gang warps record/replay compiled traces
+    (:mod:`repro.gpusim.trace`) and count their trace-cache activity
+    into it (``hits`` / ``misses`` / ``records`` / ``deopts`` /
+    ``aborts``); ``None`` runs the plain interpreter.  Results stay
+    bit-identical — the trace machinery deoptimizes to this
+    interpreter on any guard failure.  Callers must not trace while a
+    fault injector is armed (the launcher enforces this).
     """
     if ctx is None:
         ctx = current_context()
@@ -154,7 +139,7 @@ def run_blocks_batched(kernel: IRKernel, device: DeviceSpec,
         batch = _Batch(kernel, device, gmem, cmem, args,
                        indices[start:start + batch_blocks], block_dim,
                        grid_dim, dynamic_smem, plan, textures or {},
-                       ctx=ctx, traced=traced)
+                       ctx=ctx, trace_counts=trace_counts)
         if tracer is not None:
             n = min(batch_blocks, len(indices) - start)
             with tracer.span(f"gang:{kernel.name}", "engine",
@@ -214,25 +199,18 @@ class _GangProto:
 
 def _gang_proto(plan: KernelPlan, device: DeviceSpec, block_dim,
                 grid_dim, ctx=None) -> _GangProto:
-    stats = (ctx or current_context()).gang_stats
+    """The plan's prototype for this launch shape, counted as a
+    ``cache.gang_hits`` / ``cache.gang_misses`` of *ctx*."""
+    metrics = (ctx or current_context()).metrics
     key = (block_dim, grid_dim)
     proto = plan.gang_protos.get(key)
     if proto is None:
-        stats["misses"] += 1
+        metrics.inc("cache.gang_misses")
         proto = _GangProto(device, block_dim, grid_dim)
         plan.gang_protos[key] = proto
     else:
-        stats["hits"] += 1
+        metrics.inc("cache.gang_hits")
     return proto
-
-
-def gang_cache_stats(ctx=None) -> Dict[str, int]:
-    """Gang-prototype hit/miss counters for *ctx* (default current).
-
-    Prototypes live on cached :class:`KernelPlan` objects, so
-    :func:`repro.gpusim.clear_plan_cache` evicts them too.
-    """
-    return dict((ctx or current_context()).gang_stats)
 
 
 def _segmented_prefix(values: np.ndarray, starts: np.ndarray,
@@ -348,9 +326,9 @@ class _Batch:
 
     def __init__(self, kernel, device, gmem, cmem, args, indices,
                  block_dim, grid_dim, dynamic_smem, plan, textures,
-                 ctx=None, traced=False):
-        self.traced = traced
-        self.trace_stats = (ctx or current_context()).trace_stats
+                 ctx=None, trace_counts=None):
+        #: The launch's trace-JIT counts; None = untraced.
+        self.trace_counts = trace_counts
         self.kernel = kernel
         self.device = device
         self.gmem = gmem
@@ -643,7 +621,7 @@ class _GangWarp:
         """
         batch = self.batch
         spawned: List[_GangWarp] = []
-        if batch.traced:
+        if batch.trace_counts is not None:
             # Replay guards may split nonconforming members into
             # ``spawned`` even when the remainder deoptimizes back to
             # the interpreter below.

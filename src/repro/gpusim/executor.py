@@ -271,9 +271,9 @@ def plan_for(kernel: IRKernel, device: DeviceSpec,
     key = (id(kernel), device.name)
     plan = ctx.plan_cache.get(key)
     if plan is not None and plan.kernel is kernel:
-        ctx.plan_stats["hits"] += 1
+        ctx.metrics.inc("cache.plan_hits")
         return plan
-    ctx.plan_stats["misses"] += 1
+    ctx.metrics.inc("cache.plan_misses")
     tracer = ctx.tracer
     if tracer is not None:
         with tracer.span(f"plan:{kernel.name}", "plan",
@@ -286,18 +286,10 @@ def plan_for(kernel: IRKernel, device: DeviceSpec,
     return plan
 
 
-def plan_cache_stats(ctx=None) -> Dict[str, int]:
-    """Hit/miss counters plus cache size for *ctx* (default current)."""
-    ctx = _ctx(ctx)
-    return dict(ctx.plan_stats, size=len(ctx.plan_cache))
-
-
 def clear_plan_cache(ctx=None) -> None:
-    """Drop *ctx*'s cached plans and reset its counters (for tests)."""
-    ctx = _ctx(ctx)
-    ctx.clear_plan_cache()
-    ctx.plan_stats["hits"] = 0
-    ctx.plan_stats["misses"] = 0
+    """Drop *ctx*'s (default current) cached plans; counters keep
+    counting, so callers measure deltas of ``ctx.cache_counters()``."""
+    _ctx(ctx).clear_plan_cache()
 
 
 _CMP_FN = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,

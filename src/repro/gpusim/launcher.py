@@ -55,9 +55,9 @@ class LaunchResult:
     #: Per-launch micro-profile; populated only when the owning
     #: context is tracing (``ctx.tracer`` is not None).
     profile: Optional["LaunchProfile"] = None
-    #: Trace-JIT activity during this launch (deltas of the owning
-    #: context's ``trace_stats``); all zero unless the launch ran on
-    #: the ``"traced"`` engine.
+    #: Trace-JIT activity during this launch (the counts it also adds
+    #: to the owning context's ``cache.trace_*`` counters); all zero
+    #: unless the launch ran on the ``"traced"`` engine.
     trace_hits: int = 0
     trace_deopts: int = 0
     trace_records: int = 0
@@ -203,8 +203,9 @@ class GPU:
                 functional.
             engine: ``"batched"`` gangs blocks through the wide
                 interpreter (the default), ``"serial"`` runs one
-                :class:`BlockExecutor` per block (the oracle), ``None``
-                / ``"auto"`` uses :func:`repro.gpusim.default_engine`.
+                :class:`BlockExecutor` per block (the oracle),
+                ``"traced"`` replays compiled gang traces, ``None`` /
+                ``"auto"`` uses the owning context's ``engine``.
                 Both produce bit-identical memory, stats and timing.
 
         When the owning context is tracing, the launch records a
@@ -288,17 +289,28 @@ class GPU:
             # Fault site: the driver rejects the launch outright
             # (before any block executes, so no side effects exist).
             injector.check("launch.fail", detail=kernel.name)
-        trace_before = tuple(self.ctx.trace_stats.values())
+        # Tracing stays off while an injector is armed: every FaultPlan
+        # site then sees the plain interpreter, whose chaos semantics
+        # are the documented ones.
+        trace_counts = None
+        if engine == "traced" and injector is None:
+            trace_counts = {"hits": 0, "misses": 0, "records": 0,
+                            "deopts": 0, "aborts": 0}
         if engine in ("batched", "traced") and len(indices) > 1:
-            # Tracing stays off while an injector is armed: every
-            # FaultPlan site then sees the plain interpreter, whose
-            # chaos semantics are the documented ones.
-            stats = run_blocks_batched(
-                kernel.ir, self.spec, self.gmem, cmem, arg_map,
-                indices, block_dim=block3, grid_dim=grid3,
-                dynamic_smem=dynamic_smem, plan=plan,
-                textures=textures, ctx=self.ctx,
-                traced=(engine == "traced" and injector is None))
+            try:
+                stats = run_blocks_batched(
+                    kernel.ir, self.spec, self.gmem, cmem, arg_map,
+                    indices, block_dim=block3, grid_dim=grid3,
+                    dynamic_smem=dynamic_smem, plan=plan,
+                    textures=textures, ctx=self.ctx,
+                    trace_counts=trace_counts)
+            finally:
+                # Traces recorded before a kernel fault stay cached,
+                # so their counts are charged either way.
+                if trace_counts is not None:
+                    for name, n in trace_counts.items():
+                        if n:
+                            self.ctx.metrics.inc(f"cache.trace_{name}", n)
         else:
             stats = []
             for bidx in indices:
@@ -328,15 +340,14 @@ class GPU:
                     f"uncorrectable ECC error during {kernel.name!r} "
                     f"(device byte offset {flipped})")
         timing = kernel_timing(self.spec, occ, total_blocks, stats)
-        ts = self.ctx.trace_stats
-        delta = {name: after - before for (name, after), before
-                 in zip(ts.items(), trace_before) if after != before}
-        return LaunchResult(timing=timing, occupancy=occ, grid=grid3,
-                            block=block3, blocks_executed=len(indices),
-                            stats=stats,
-                            trace_hits=delta.get("hits", 0),
-                            trace_deopts=delta.get("deopts", 0),
-                            trace_records=delta.get("records", 0))
+        result = LaunchResult(timing=timing, occupancy=occ, grid=grid3,
+                              block=block3, blocks_executed=len(indices),
+                              stats=stats)
+        if trace_counts is not None:
+            result.trace_hits = trace_counts["hits"]
+            result.trace_deopts = trace_counts["deopts"]
+            result.trace_records = trace_counts["records"]
+        return result
 
 
 #: Bound on each context's sampled-launch pick memo; the memo lives on

@@ -66,9 +66,11 @@ How it works
   (``plan.traces``) exactly like gang prototypes, so the
   :class:`~repro.runtime.context.ExecutionContext` plan cache gives
   sweeps and repeated launches trace reuse for free, and
-  ``clear_plan_cache()`` evicts traces too.  Counters live in
-  ``ctx.trace_stats`` and surface through ``cache_counters()`` /
-  ``cache.*`` metrics / ``Sweeper.cache_report``.
+  ``clear_plan_cache()`` evicts traces too.  Each launch counts into
+  its own dict (``batch.trace_counts``), which the launcher reports as
+  ``LaunchResult.trace_*`` and adds to the context's ``cache.trace_*``
+  counters (read through ``ctx.cache_counters()`` /
+  ``Sweeper.cache_report``).
 
 * **Fast paths.**  The compiler runs a static row-uniformity analysis
   over registers and mask-stack levels: values proven identical
@@ -113,7 +115,7 @@ from repro.gpusim import coalescing
 from repro.gpusim.executor import (WARP, SimError, _BINARY, _UNARY)
 from repro.gpusim.memory import MemoryError_
 
-__all__ = ["GangTrace", "trace_cache_stats", "MAX_EVENTS"]
+__all__ = ["GangTrace", "MAX_EVENTS"]
 
 #: Recording aborts past this many events (a trace is a full loop
 #: unroll; unbounded kernels would compile forever).
@@ -158,20 +160,6 @@ _INLINE_UNARY = {
 
 def _strict() -> bool:
     return bool(os.environ.get("REPRO_TRACE_STRICT"))
-
-
-def trace_cache_stats(ctx=None) -> Dict[str, int]:
-    """Trace-JIT counters for *ctx* (default: the current context).
-
-    ``hits``/``misses`` count trace-cache lookups at quantum entry,
-    ``records`` successful compilations, ``deopts`` guard failures
-    that fell back to the interpreter, ``aborts`` abandoned
-    recordings (gang splits, unsupported ops, oversized traces).
-    """
-    if ctx is None:
-        from repro.runtime.context import current_context
-        ctx = current_context()
-    return dict(ctx.trace_stats)
 
 
 class GangTrace:
@@ -1365,7 +1353,7 @@ def _replay(w, spawned) -> str:
     i = w._trace_pos
     stack = w.stack
     regs = w.regs
-    stats = w.batch.trace_stats
+    stats = w.batch.trace_counts
     mask = stack[-1][1]
     while True:
         op = ops[i]
@@ -1536,7 +1524,7 @@ def quantum_enter(w, spawned) -> Optional[str]:
     if len(stack) != 1 or not stack[0][3] or w.outstanding:
         return None
     plan = w.batch.plan
-    stats = w.batch.trace_stats
+    stats = w.batch.trace_counts
     key = (stack[0][2], w.lane_mask[0].tobytes())
     trace = plan.traces.get(key)
     if trace is not None:
@@ -1561,7 +1549,7 @@ def abort_recording(w) -> None:
     plan = w.batch.plan
     plan.trace_pending.discard(rec.key)
     plan.trace_aborts[rec.key] = plan.trace_aborts.get(rec.key, 0) + 1
-    w.batch.trace_stats["aborts"] += 1
+    w.batch.trace_counts["aborts"] += 1
 
 
 def finish_recording(w) -> None:
@@ -1570,7 +1558,7 @@ def finish_recording(w) -> None:
     w._rec = None
     plan = w.batch.plan
     plan.trace_pending.discard(rec.key)
-    stats = w.batch.trace_stats
+    stats = w.batch.trace_counts
     try:
         trace = _compile(rec, plan, w.batch.device)
     except _CompileAbort:

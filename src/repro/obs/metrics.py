@@ -1,8 +1,9 @@
 """Named counters, gauges, and histograms with one ``snapshot()``.
 
-`MetricsRegistry` generalizes the stack's ad-hoc counter dicts —
-`ExecutionContext.bump()`, `Pipeline.health`'s per-site Counters,
-`Sweeper`'s error taxonomy — into one taxonomy of named instruments:
+`MetricsRegistry` generalizes the stack's ad-hoc counter dicts — the
+context's cache hit/miss counts, `Pipeline.health`'s per-site
+Counters, `Sweeper`'s error taxonomy — into one taxonomy of named
+instruments:
 
 * **counters** — monotonically increasing ints (`inc`), e.g.
   ``fault.launch``, ``retry.compile``, ``sweep.cells``;

@@ -4,43 +4,40 @@ Everything the simulator stack historically kept in module-level
 globals lives here as instance state:
 
 * the default :class:`~repro.gpusim.device.DeviceSpec` and execution
-  engine selection (``serial`` / ``batched``),
-* the launch-plan cache and its hit/miss counters
-  (:func:`repro.gpusim.executor.plan_for`),
-* the batched engine's gang-prototype counters
-  (:func:`repro.gpusim.engine.gang_cache_stats`),
+  engine selection (``serial`` / ``batched`` / ``traced``),
+* the launch-plan cache (:func:`repro.gpusim.executor.plan_for`), on
+  whose plans the gang prototypes and compiled traces ride,
 * the sampled-launch block-pick memo
   (:func:`repro.gpusim.launcher._block_indices`),
 * the compiled-kernel binary cache
   (:class:`repro.gpupf.cache.KernelCache`),
 * the fault injector (:mod:`repro.faults.hooks`),
-* the metrics registry and optional tracer (:mod:`repro.obs`) behind
-  the free-form counter API (:meth:`bump`).
+* the metrics registry and optional tracer (:mod:`repro.obs`).
 
-**Counter namespace convention.**  Free-form counter and metric names
-are dotted ``subsystem.event`` strings — ``fault.launch.fail``,
+**Counter namespace convention.**  Counter and metric names are
+dotted ``subsystem.event`` strings — ``fault.launch.fail``,
 ``retry.nvcc.compile``, ``sweep.cells``, ``error.SimError``,
 ``cache.plan_hits`` — so one flat :meth:`MetricsRegistry.snapshot`
 stays greppable by prefix and collision-free across subsystems (see
-GLOSSARY.md "counter namespace").  :meth:`cache_counters` predates the
-convention and keeps its flat underscore keys (``plan_hits`` ...)
-because sweep delta-accounting and tests depend on them verbatim; the
-namespaced equivalents appear under ``cache.*`` in
-:meth:`metrics_snapshot`.
+GLOSSARY.md "counter namespace").  :attr:`metrics` is the only store
+for the launch-plan, gang-prototype and trace-JIT cache counts
+(``cache.plan_hits`` ...); :meth:`cache_counters` is their one flat
+view, keeping the historical underscore keys (``plan_hits`` ...)
+because sweep delta-accounting and ``RunResult.counters`` use them
+verbatim.
 
 A process-wide *default* context backs every module-level entry point
-(``fault_hooks.active()``, ``plan_cache_stats()``...): they resolve
+(``fault_hooks.active()``, ``clear_plan_cache()``...): they resolve
 against :func:`current_context`, which is the innermost
 :func:`using_context` on this thread or else the default.  Sweeps and
 worker processes build their own contexts, so two concurrent
-sweeps in one process report fully independent cache/gang counters.
+sweeps in one process report fully independent cache counters.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
@@ -66,14 +63,16 @@ ENGINES = ("serial", "batched", "traced")
 #: able to reach the oracle.
 ENGINE_ENV = "REPRO_ENGINE"
 
-#: Per-context trace-JIT counter names (``ExecutionContext.trace_stats``).
-TRACE_STAT_NAMES = ("hits", "misses", "records", "deopts", "aborts")
+#: The flat keys of :meth:`ExecutionContext.cache_counters`; each is
+#: the registry counter ``cache.<key>``.
+CACHE_COUNTERS = ("plan_hits", "plan_misses", "gang_hits", "gang_misses",
+                  "trace_hits", "trace_misses", "trace_records",
+                  "trace_deopts", "trace_aborts")
 
 
 def _engine_env_default() -> str:
     """The engine name the environment selects when none is given."""
-    return (os.environ.get(ENGINE_ENV)
-            or os.environ.get("REPRO_SIM_ENGINE", "batched"))
+    return os.environ.get(ENGINE_ENV) or "batched"
 
 
 class ExecutionContext:
@@ -83,7 +82,7 @@ class ExecutionContext:
         device: default :class:`DeviceSpec` for ``GPU()`` constructed
             under this context (defaults to the Tesla C2070 model).
         engine: default execution engine for launches that do not name
-            one; falls back to ``REPRO_SIM_ENGINE`` or ``"batched"``.
+            one; falls back to ``REPRO_ENGINE`` or ``"batched"``.
         kernel_cache: compiled-binary cache; a fresh private
             :class:`KernelCache` unless one is injected.
         injector: an optional pre-installed fault injector.
@@ -114,18 +113,14 @@ class ExecutionContext:
         self.injector: Optional[FaultInjector] = injector
         #: (id(kernel_ir), device.name) -> KernelPlan (see executor).
         self.plan_cache: Dict = {}
-        self.plan_stats: Dict[str, int] = {"hits": 0, "misses": 0}
-        #: Gang-prototype hit/miss counters (protos ride KernelPlans).
-        self.gang_stats: Dict[str, int] = {"hits": 0, "misses": 0}
-        #: Trace-JIT counters (compiled traces ride KernelPlans too;
-        #: see repro.gpusim.trace.trace_cache_stats).
-        self.trace_stats: Dict[str, int] = {
-            name: 0 for name in TRACE_STAT_NAMES}
         #: (grid3, sample_blocks) -> representative block picks.
         self.sample_cache: Dict = {}
         #: Named counters/gauges/histograms (``subsystem.event`` keys;
-        #: always on — see the module docstring).
+        #: always on — see the module docstring).  The cache counters
+        #: start at zero so every snapshot lists them.
         self.metrics = MetricsRegistry()
+        for key in CACHE_COUNTERS:
+            self.metrics.inc(f"cache.{key}", 0)
         #: Bounded flight recorder of structured events (always on,
         #: like :attr:`metrics` — recording is an O(1) deque append;
         #: see :mod:`repro.obs.events`).  Traced requests ship their
@@ -224,29 +219,28 @@ class ExecutionContext:
     # -- cache maintenance ----------------------------------------------
 
     def clear_plan_cache(self) -> None:
-        """Drop cached launch plans (gang prototypes ride along)."""
+        """Drop cached launch plans (gang prototypes and traces ride
+        along); the ``cache.*`` counters keep counting."""
         self.plan_cache.clear()
         self.sample_cache.clear()
 
     def cache_counters(self) -> Dict[str, int]:
-        """Plan/gang cache counters for exact delta accounting.
+        """The launch-plan, gang-prototype and trace-JIT cache counts.
 
-        Returns flat keys ``plan_hits`` / ``plan_misses`` /
-        ``gang_hits`` / ``gang_misses`` / ``trace_hits`` /
-        ``trace_misses`` / ``trace_records`` / ``trace_deopts`` /
-        ``trace_aborts`` — historical underscore names,
-        NOT the dotted ``subsystem.event`` convention, because
-        :class:`~repro.tuning.sweep.Sweeper` delta-accounting and its
-        tests compare these dicts verbatim.  The namespaced ``cache.*``
-        spellings live in :meth:`metrics_snapshot`.
+        Returns the :data:`CACHE_COUNTERS` flat keys (``plan_hits`` /
+        ``plan_misses`` / ``gang_hits`` / ``gang_misses`` /
+        ``trace_hits`` / ``trace_misses`` / ``trace_records`` /
+        ``trace_deopts`` / ``trace_aborts``), each read from the
+        registry counter ``cache.<key>``.  ``trace_hits`` /
+        ``trace_misses`` count trace lookups at gang-quantum entry,
+        ``trace_records`` compiled traces, ``trace_deopts`` guard
+        failures that fell back to the interpreter, ``trace_aborts``
+        abandoned recordings.  :class:`~repro.tuning.sweep.Sweeper`
+        and ``run_request`` take exact deltas of this dict.
         """
-        counters = {"plan_hits": self.plan_stats["hits"],
-                    "plan_misses": self.plan_stats["misses"],
-                    "gang_hits": self.gang_stats["hits"],
-                    "gang_misses": self.gang_stats["misses"]}
-        for name in TRACE_STAT_NAMES:
-            counters[f"trace_{name}"] = self.trace_stats[name]
-        return counters
+        counters = self.metrics.counters("cache.")
+        return {key: counters.get(f"cache.{key}", 0)
+                for key in CACHE_COUNTERS}
 
     # -- observability ---------------------------------------------------
 
@@ -266,52 +260,20 @@ class ExecutionContext:
         """Detach the tracer (idempotent); recorded spans are dropped."""
         self.tracer = None
 
-    def bump(self, counter: str, n: int = 1) -> int:
-        """Increment a named per-context counter; returns the new value.
-
-        *counter* should follow the ``subsystem.event`` namespace
-        convention (module docstring).  Delegates to
-        :attr:`metrics` — ``bump`` is the legacy spelling of
-        ``ctx.metrics.inc``.
-        """
-        self.metrics.inc(counter, n)
-        return self.metrics.counter(counter)
-
-    @property
-    def counters(self) -> Counter:
-        """Legacy view of the registry's counters (read-only copy)."""
-        return Counter(self.metrics.counters())
-
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The registry snapshot plus the cache counters, one taxonomy.
+        """The registry snapshot plus the kernel cache, one taxonomy.
 
-        Merges :meth:`MetricsRegistry.snapshot` with the plan/gang
-        cache counters (as ``cache.plan_hits`` ...) and the kernel
-        cache's stats (``cache.kernel_hits`` ...), so one dict answers
-        every "how many" question about this context.
+        Folds the kernel cache's stats (``cache.kernel_hits`` ...)
+        into :meth:`MetricsRegistry.snapshot`, whose counters already
+        hold the plan/gang/trace counts (``cache.plan_hits`` ...), so
+        one dict answers every "how many" question about this context.
         """
         snap = self.metrics.snapshot()
         counters = snap["counters"]
-        for key, value in self.cache_counters().items():
-            counters[f"cache.{key}"] = counters.get(f"cache.{key}", 0) \
-                + value
         for key, value in self.kernel_cache.stats().items():
             counters[f"cache.kernel_{key}"] = \
                 counters.get(f"cache.kernel_{key}", 0) + value
         return snap
-
-    def stats(self) -> Dict[str, object]:
-        """Everything countable about this context, namespaced."""
-        return {
-            "name": self.name,
-            "device": self.device.name,
-            "engine": self.engine,
-            "plan": dict(self.plan_stats, size=len(self.plan_cache)),
-            "gang": dict(self.gang_stats),
-            "trace": dict(self.trace_stats),
-            "kernel_cache": self.kernel_cache.stats(),
-            "counters": self.metrics.counters(),
-        }
 
     # -- activation ------------------------------------------------------
 
@@ -337,7 +299,7 @@ def default_context() -> ExecutionContext:
     """The lazily-created process-wide default context.
 
     Module-level entry points (``fault_hooks.active()``,
-    ``plan_cache_stats()``...) resolve here when no scoped context is
+    ``clear_plan_cache()``...) resolve here when no scoped context is
     active on the calling thread.
     """
     global _DEFAULT

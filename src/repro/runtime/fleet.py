@@ -28,9 +28,10 @@ tracing grafts, per-member attribution (each submission carries
 :class:`~repro.serve.errors.ServiceWorkerError` — raised or returned
 for requests, an invalid record for grid cells.
 
-**Reports**: ``fleet.*`` counters on :attr:`DeviceFleet.metrics`,
-:meth:`cache_report`, :meth:`health_report`, and the modeled
-:meth:`busy_seconds` / :meth:`makespan_seconds`.
+**Reports**: ``fleet.*`` counters next to the service's ``serve.*``
+ones in its registry (:attr:`DeviceFleet.metrics`), per-request cache
+deltas on each result's ``counters``, :meth:`health_report`, and the
+modeled :meth:`busy_seconds` / :meth:`makespan_seconds`.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     Optional, Sequence)
 
 from repro.gpusim.device import DEVICES
-from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: harness needs gpusim
     from repro.apps.harness import RunRequest
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
 PLACEMENTS = ("least-loaded", "round-robin", "affinity")
@@ -66,7 +67,8 @@ def _stable_hash(value: object) -> int:
 class FleetMember:
     """One simulated device slot: a device model and its accounting."""
 
-    def __init__(self, ordinal: int, device: str):
+    def __init__(self, ordinal: int, device: str,
+                 metrics: "MetricsRegistry"):
         if device not in DEVICES:
             raise FleetPlacementError(
                 f"unknown device {device!r}; expected one of "
@@ -75,16 +77,18 @@ class FleetMember:
         self.device = device
         self.key = f"{device}:{ordinal}"
         self.spec = DEVICES[device]
-        #: 1 + workers lost while evaluating this member's work.
-        self.generation = 1
+        self._metrics = metrics
         self.in_flight = 0
         self.dispatched = 0
         self.completed = 0
         self.errors = 0
         #: Modeled simulated seconds this member spent executing.
         self.busy_seconds = 0.0
-        #: Aggregated per-evaluation cache-counter deltas.
-        self.counters: Dict[str, int] = {}
+
+    @property
+    def generation(self) -> int:
+        """1 + workers lost while evaluating this member's work."""
+        return 1 + self._metrics.counter(f"client.{self.key}.worker_lost")
 
     def settle(self, result=None) -> None:
         """Account one collected evaluation; None when it failed."""
@@ -94,8 +98,6 @@ class FleetMember:
             return
         self.completed += 1
         self.busy_seconds += result.seconds
-        for k, v in result.counters.items():
-            self.counters[k] = self.counters.get(k, 0) + v
 
     def stats(self) -> Dict[str, object]:
         return {"member": self.key, "device": self.spec.name,
@@ -103,12 +105,7 @@ class FleetMember:
                 "in_flight": self.in_flight,
                 "dispatched": self.dispatched,
                 "completed": self.completed, "errors": self.errors,
-                "busy_modeled_s": self.busy_seconds,
-                "trace": {
-                    "hits": self.counters.get("trace_hits", 0),
-                    "deopts": self.counters.get("trace_deopts", 0),
-                    "records": self.counters.get("trace_records", 0),
-                }}
+                "busy_modeled_s": self.busy_seconds}
 
 
 class DeviceFleet:
@@ -126,16 +123,19 @@ class DeviceFleet:
                              f"expected one of {PLACEMENTS}")
         self.name = name
         self.placement = placement
-        self.members: List[FleetMember] = [
-            FleetMember(i, device) for i, device in enumerate(devices)]
         from repro.serve.supervisor import (ServiceConfig,
                                             SpecializationService)
         #: Started on first use: a fleet that only places spawns nothing.
         self.service = SpecializationService(ServiceConfig(
-            workers=len(self.members), max_redispatch=max_redispatch,
+            workers=len(devices), max_redispatch=max_redispatch,
             start_method=start_method))
-        self.metrics = MetricsRegistry()
-        self.metrics.gauge("fleet.members", len(self.members))
+        #: The service's registry: ``fleet.*`` counters sit next to its
+        #: ``serve.*`` and ``client.<member>.*`` ones.
+        self.metrics = self.service.metrics
+        self.metrics.gauge("fleet.members", len(devices))
+        self.members: List[FleetMember] = [
+            FleetMember(i, device, self.metrics)
+            for i, device in enumerate(devices)]
         self.recorder = self.service.recorder
         self._rr: Dict[str, int] = {}
         self._closed = False
@@ -230,17 +230,6 @@ class DeviceFleet:
             future.set_exception(exc)
             return future
 
-    def _fold_worker_deaths(self) -> None:
-        """Mirror the service's worker-death counters in fleet terms."""
-        served = self.service.metrics
-        for source, name in (("serve.worker.crash", "fleet.worker_crash"),
-                             ("serve.redispatch", "fleet.redispatch")):
-            self.metrics.inc(name, served.counter(source)
-                             - self.metrics.counter(name))
-        for member in self.members:
-            member.generation = 1 + served.counter(
-                f"client.{member.key}.worker_lost")
-
     # -- request sharding ------------------------------------------------
 
     def run_requests(self, requests: Iterable["RunRequest"], *,
@@ -276,7 +265,6 @@ class DeviceFleet:
             member.settle(result)
             result.worker = member.key
             results.append(result)
-        self._fold_worker_deaths()
         if not return_errors:
             for result in results:
                 if isinstance(result, Exception):
@@ -324,19 +312,9 @@ class DeviceFleet:
                 self.metrics.observe("fleet.cell_seconds",
                                      record.seconds)
             records.append(record)
-        self._fold_worker_deaths()
         return records
 
     # -- fleet-level reports ---------------------------------------------
-
-    def cache_report(self) -> Dict[str, int]:
-        """Per-evaluation plan/gang/trace cache deltas summed over
-        every member (the keys :attr:`Sweeper.cache_report` uses)."""
-        report: Dict[str, int] = {}
-        for member in self.members:
-            for k, v in member.counters.items():
-                report[k] = report.get(k, 0) + v
-        return report
 
     def busy_seconds(self) -> float:
         """Total modeled seconds executed across the fleet."""

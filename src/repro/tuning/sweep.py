@@ -250,32 +250,18 @@ class Sweeper:
     def cache_report(self) -> Dict[str, int]:
         """Cache activity attributed to the last ``sweep()`` call.
 
-        Exact hit/miss deltas for the launch-plan cache and the
-        batched engine's gang-prototype cache (``plan_hits`` /
-        ``plan_misses`` / ``gang_hits`` / ``gang_misses`` — historical
-        keys, kept verbatim).  A thin view over the ``cache.*`` gauges
-        in :attr:`metrics`; empty before the first call.
+        Exact deltas of the launch-plan, gang-prototype and trace-JIT
+        counters, in :meth:`ExecutionContext.cache_counters` keys
+        (``plan_hits`` / ``gang_misses`` / ``trace_records`` ...).  A
+        traced sweep shows one ``trace_records`` per kernel trace and
+        ``trace_hits`` for every other gang quantum.  A thin view over
+        the ``cache.*`` gauges in :attr:`metrics`; empty before the
+        first call.
         """
         gauges = self.metrics.snapshot()["gauges"]
         return {name[len("cache."):]: int(value)
                 for name, value in gauges.items()
                 if name.startswith("cache.")}
-
-    def gang_cache_stats(self) -> Dict[str, int]:
-        """Gang-prototype hit/miss counters for the last sweep call."""
-        return {"hits": self.cache_report.get("gang_hits", 0),
-                "misses": self.cache_report.get("gang_misses", 0)}
-
-    def trace_cache_stats(self) -> Dict[str, int]:
-        """Trace-JIT counters for the last sweep call.
-
-        All zero unless the run launched on the ``"traced"`` engine;
-        a healthy traced sweep shows one ``records`` per kernel trace
-        and ``hits`` for every other gang quantum.
-        """
-        return {name[len("trace_"):]: count
-                for name, count in self.cache_report.items()
-                if name.startswith("trace_")}
 
     def error_taxonomy(self) -> Dict[str, int]:
         """Invalid records grouped by error class, with counts.

@@ -7,9 +7,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults import hooks as fault_hooks
-from repro.gpusim import (GPU, TESLA_C1060, TESLA_C2070, default_engine,
-                          gang_cache_stats, plan_cache_stats,
-                          set_default_engine)
+from repro.gpusim import GPU, TESLA_C1060, TESLA_C2070
 from repro.runtime import (ENGINES, ExecutionContext, current_context,
                            default_context, using_context)
 
@@ -69,7 +67,7 @@ class TestContextState:
     def test_counters_are_per_context(self):
         a = ExecutionContext(name="a")
         b = ExecutionContext(name="b")
-        a.plan_stats["misses"] += 3
+        a.metrics.inc("cache.plan_misses", 3)
         assert b.cache_counters()["plan_misses"] == 0
         assert a.cache_counters()["plan_misses"] == 3
 
@@ -100,20 +98,25 @@ class TestContextState:
 
     def test_engine_selection_is_context_scoped(self):
         ctx = ExecutionContext(engine="serial")
-        baseline = default_engine()
+        baseline = current_context().engine
         with using_context(ctx):
-            assert default_engine() == "serial"
-            set_default_engine("batched")
+            assert current_context().engine == "serial"
+            current_context().set_engine("batched")
             assert ctx.engine == "batched"
-        assert default_engine() == baseline
+        assert current_context().engine == baseline
 
-    def test_stats_shims_read_current_context(self):
+    def test_cache_counters_read_the_registry_by_name(self):
         ctx = ExecutionContext()
-        ctx.plan_stats["hits"] = 7
-        ctx.gang_stats["misses"] = 2
+        ctx.metrics.inc("cache.plan_hits", 7)
+        ctx.metrics.inc("cache.gang_misses", 2)
+        # Other cache.* counters are not cache_counters() keys.
+        ctx.metrics.inc("cache.latch_timeout")
         with using_context(ctx):
-            assert plan_cache_stats()["hits"] == 7
-            assert gang_cache_stats()["misses"] == 2
+            counters = current_context().cache_counters()
+        assert counters["plan_hits"] == 7
+        assert counters["gang_misses"] == 2
+        assert "latch_timeout" not in counters
+        assert len(counters) == 9
 
     def test_kernel_cache_shim_follows_context(self):
         ctx = ExecutionContext()

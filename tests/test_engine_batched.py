@@ -17,9 +17,9 @@ import pytest
 from tests.helpers import KernelHarness, assert_same_launch
 from repro.gpupf.cache import KernelCache
 from repro.gpusim import (GPU, TESLA_C1060, TESLA_C2070,
-                          clear_plan_cache, gang_cache_stats,
-                          plan_cache_stats, plan_for)
+                          clear_plan_cache, plan_for)
 from repro.kernelc import nvcc
+from repro.runtime import current_context
 from repro.tuning.sweep import SweepRecord, Sweeper, best_record
 
 
@@ -483,21 +483,27 @@ def test_atomic_global_stalls_counted_equally():
 # -- gang-prototype cache ----------------------------------------------
 
 
+def _counter_delta(before, *keys):
+    """Growth of the current context's cache counters since *before*."""
+    after = current_context().cache_counters()
+    return {key: after[key] - before[key] for key in keys}
+
+
 def test_gang_proto_cached_across_launches():
     clear_plan_cache()
     h = KernelHarness(DIVERGENT_SRC)
     n = 256
     inp = np.ones(n, np.float32)
     out = np.zeros(n, np.float32)
-    before = gang_cache_stats()
+    before = current_context().cache_counters()
     for _ in range(3):
         h((4,), (64,), out, inp, n, engine="batched")
-    delta = {k: gang_cache_stats()[k] - before[k] for k in before}
-    assert delta == {"misses": 1, "hits": 2}
+    assert _counter_delta(before, "gang_misses", "gang_hits") == \
+        {"gang_misses": 1, "gang_hits": 2}
     # A different launch shape builds (and caches) its own prototype.
     h((2,), (128,), np.zeros(n, np.float32), inp, n, engine="batched")
-    delta = {k: gang_cache_stats()[k] - before[k] for k in before}
-    assert delta == {"misses": 2, "hits": 2}
+    assert _counter_delta(before, "gang_misses", "gang_hits") == \
+        {"gang_misses": 2, "gang_hits": 2}
     clear_plan_cache()
 
 
@@ -506,18 +512,20 @@ def test_gang_proto_cached_across_launches():
 
 def test_plan_cache_hits_and_eviction():
     clear_plan_cache()
+    ctx = current_context()
+    before = ctx.cache_counters()
     mod = nvcc(DIVERGENT_SRC, arch="sm_20")
     ir = mod.kernel("k").ir
     p1 = plan_for(ir, TESLA_C2070)
     p2 = plan_for(ir, TESLA_C2070)
     assert p1 is p2
     assert plan_for(ir, TESLA_C1060) is not p1  # per-device plans
-    stats = plan_cache_stats()
-    assert stats["hits"] == 1 and stats["misses"] == 2
-    assert stats["size"] == 2
+    assert _counter_delta(before, "plan_hits", "plan_misses") == \
+        {"plan_hits": 1, "plan_misses": 2}
+    assert len(ctx.plan_cache) == 2
     del p1, p2, ir, mod
     gc.collect()
-    assert plan_cache_stats()["size"] == 0  # weakly held
+    assert len(ctx.plan_cache) == 0  # weakly held
     clear_plan_cache()
 
 
@@ -527,10 +535,11 @@ def test_launch_reuses_plan():
     n = 128
     inp = np.ones(n, np.float32)
     out = np.zeros(n, np.float32)
+    before = current_context().cache_counters()
     for _ in range(3):
         h((2,), (64,), out, inp, n)
-    stats = plan_cache_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 2
+    assert _counter_delta(before, "plan_misses", "plan_hits") == \
+        {"plan_misses": 1, "plan_hits": 2}
     clear_plan_cache()
 
 

@@ -599,8 +599,8 @@ class TestFleetChaos:
                    for r in records]
             assert got == expected
             counters = fleet.metrics.snapshot()["counters"]
-            assert counters["fleet.worker_crash"] >= 1
-            assert counters["fleet.redispatch"] >= 1
+            assert counters["serve.worker.crash"] >= 1
+            assert counters["serve.redispatch"] >= 1
         assert os.path.exists(sentinel)  # the crash really happened
 
     def test_persistent_death_is_a_typed_record(self):

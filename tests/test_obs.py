@@ -320,6 +320,26 @@ class TestHarnessTracing:
         cats = {s["cat"] for s in result.trace["spans"]}
         assert {"harness", "pipeline", "compile", "launch"} <= cats
 
+    def test_registry_holds_the_request_cache_counts(self):
+        # The context registry is the only store of the cache counts:
+        # RunResult.counters and the per-launch profiles both agree
+        # with it exactly.
+        ctx = ExecutionContext(name="obs-counts")
+        request = RunRequest(
+            ProblemSpec("template_matching", SMALL_TM, seed=11,
+                        memory_bytes=8 << 20),
+            MatchConfig(tile_w=8, tile_h=8, threads=32, engine="traced"),
+            trace=True)
+        result = run_request(request, context=ctx)
+        registry = ctx.metrics.counters("cache.")
+        assert len(result.counters) == 9
+        assert {key: registry[f"cache.{key}"]
+                for key in result.counters} == result.counters
+        for name in ("trace_hits", "trace_records", "trace_deopts"):
+            assert registry[f"cache.{name}"] == sum(
+                getattr(p, name) for p in result.profiles), name
+        assert registry["cache.trace_records"] > 0
+
 
 class TestSweepObservability:
     AXES = dict(rb=[1, 2], threads=[32, 64])
@@ -439,13 +459,14 @@ class TestChromeExport:
 
 
 class TestCounterNamespace:
-    def test_bump_delegates_to_registry(self):
-        ctx = ExecutionContext(name="obs-bump")
-        assert ctx.bump("sweep.cells") == 1
-        assert ctx.bump("sweep.cells", 4) == 5
-        assert ctx.metrics.counter("sweep.cells") == 5
-        assert ctx.counters["sweep.cells"] == 5
-        assert ctx.stats()["counters"] == {"sweep.cells": 5}
+    def test_context_counts_live_in_one_registry(self):
+        ctx = ExecutionContext(name="obs-registry")
+        ctx.metrics.inc("sweep.cells", 5)
+        ctx.metrics.inc("cache.plan_misses")
+        counters = ctx.metrics_snapshot()["counters"]
+        assert counters["sweep.cells"] == 5
+        assert counters["cache.plan_misses"] == 1
+        assert ctx.cache_counters()["plan_misses"] == 1
 
     def test_metrics_snapshot_merges_cache_taxonomy(self):
         ctx = ExecutionContext(name="obs-snap")

@@ -543,13 +543,13 @@ class TestHarnessPropagation:
 
 
 class TestFleetTelemetry:
-    def test_member_stats_surface_trace_counters(self):
+    def test_results_surface_trace_counters(self):
         with DeviceFleet(["c2070"] * 2) as fleet:
-            fleet.run_requests([piv_request() for _ in range(3)])
+            results = fleet.run_requests([piv_request() for _ in range(3)])
             health = fleet.health_report()
-        rows = {row["member"]: row for row in health["members"]}
-        for row in rows.values():
-            assert set(row["trace"]) == {"hits", "deopts", "records"}
+        for result in results:
+            assert {"trace_hits", "trace_deopts", "trace_records"} \
+                <= set(result.counters)
         assert validate_events(health["flight"]["events"]) == []
         kinds = [e["kind"] for e in health["flight"]["events"]]
         assert kinds.count("fleet.place") == 3

@@ -17,9 +17,7 @@ import pytest
 from tests.helpers import KernelHarness
 from repro.apps.template_matching import MatchProblem
 from repro.faults import FaultPlan
-from repro.gpusim import (ENGINES, TESLA_C2070, default_engine,
-                          resolve_engine, set_default_engine,
-                          trace_cache_stats)
+from repro.gpusim import ENGINES, TESLA_C2070, resolve_engine
 from repro.gpusim.executor import SimError
 from repro.gpusim.memory import GlobalMemory, MemoryError_
 from repro.runtime.context import ExecutionContext, using_context
@@ -157,10 +155,10 @@ class TestCachingAndCounters:
         assert first.trace_records > 0
         assert second.trace_hits > 0
         assert second.trace_records == 0
-        stats = trace_cache_stats(ctx)
-        assert stats["records"] == first.trace_records
-        assert stats["hits"] >= second.trace_hits
-        assert stats["aborts"] == 0
+        stats = ctx.cache_counters()
+        assert stats["trace_records"] == first.trace_records
+        assert stats["trace_hits"] == first.trace_hits + second.trace_hits
+        assert stats["trace_aborts"] == 0
 
     def test_guard_failure_deopts(self):
         # Record against all-positive data, then replay against
@@ -227,14 +225,15 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_ENGINE", "traced")
         assert ExecutionContext().engine == "traced"
 
-    def test_set_default_engine_stores_verbatim(self, monkeypatch):
-        # set_default_engine records exactly what it was told (no env
-        # upgrade); the upgrade applies when launches resolve.
+    def test_set_engine_stores_verbatim(self, monkeypatch):
+        # set_engine records exactly what it was told (no env upgrade);
+        # the upgrade applies when launches resolve.
         monkeypatch.setenv("REPRO_ENGINE", "traced")
-        with using_context(ExecutionContext(engine="serial")):
-            previous = set_default_engine("batched")
+        ctx = ExecutionContext(engine="serial")
+        with using_context(ctx):
+            previous = ctx.set_engine("batched")
             assert previous == "serial"
-            assert default_engine() == "batched"
+            assert ctx.engine == "batched"
             assert resolve_engine(None) == "traced"
 
     def test_engines_tuple(self):
@@ -259,7 +258,8 @@ class TestFaultsDisableTracing:
             ctx.clear_faults()
         assert res.trace_records == 0
         assert res.trace_hits == 0
-        assert all(v == 0 for v in trace_cache_stats(ctx).values())
+        assert all(v == 0 for k, v in ctx.cache_counters().items()
+                   if k.startswith("trace_"))
         out_s, _ = _run(DIVERGENT_SRC, 8, 64, arrays, (n,), "serial")
         assert out_f[0].tobytes() == out_s[0].tobytes()
 
@@ -286,18 +286,18 @@ def _modeled(records):
 class TestSweeperTraceCache:
     def test_thread_pool_reuses_traces(self):
         traced = _tm_sweep("traced", jobs=2)
-        stats = traced.trace_cache_stats()
-        assert stats["records"] > 0
-        assert stats["hits"] > 0
+        stats = traced.cache_report
+        assert stats["trace_records"] > 0
+        assert stats["trace_hits"] > 0
         # Modeled results match the interpreter's exactly.
         batched = _tm_sweep("batched", jobs=2)
         assert _modeled(traced.records) == _modeled(batched.records)
 
     def test_process_pool_counters_ship_back(self):
         traced = _tm_sweep("traced", jobs=2)
-        stats = traced.trace_cache_stats()
-        assert stats["records"] > 0
-        assert stats["hits"] > 0
+        stats = traced.cache_report
+        assert stats["trace_records"] > 0
+        assert stats["trace_hits"] > 0
         sequential = _tm_sweep("traced", jobs=1)
         assert _modeled(traced.records) == _modeled(sequential.records)
 
