@@ -16,6 +16,7 @@ specialized (SK) when they are present.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
@@ -125,20 +126,28 @@ def nvcc(source: str,
     tracer = ctx.tracer
     if tracer is None:
         return _nvcc_impl(source, defines, arch, opt_level, headers,
-                          unroll, max_unroll, ctx.injector)
+                          unroll, max_unroll, ctx)
     with tracer.span("nvcc", "compile", arch=arch,
                      opt_level=opt_level,
                      defines=",".join(sorted(defines or {}))) as span:
         module = _nvcc_impl(source, defines, arch, opt_level, headers,
-                            unroll, max_unroll, ctx.injector)
+                            unroll, max_unroll, ctx)
         span.attrs["kernels"] = ",".join(sorted(module.kernels))
         span.attrs["compile_ms"] = module.compile_seconds * 1e3
         return module
 
 
+def _untraced(name: str, cat: str) -> nullcontext:
+    return nullcontext()
+
+
 def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
-               max_unroll, injector) -> CompiledModule:
-    """The untraced compile path (see :func:`nvcc`)."""
+               max_unroll, ctx) -> CompiledModule:
+    """The compile itself (see :func:`nvcc`).  Traced, each compiler
+    stage is a child span of ``nvcc`` in category ``kernelc``, so sums
+    over the ``compile`` category do not count the stages twice."""
+    stage = _untraced if ctx.tracer is None else ctx.tracer.span
+    injector = ctx.injector
     if arch not in ARCH_MACROS:
         raise CompileError(f"unknown arch {arch!r}; expected one of "
                            f"{sorted(ARCH_MACROS)}")
@@ -155,13 +164,17 @@ def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
     if defines:
         all_defines.update(defines)
     try:
-        tokens = Preprocessor(all_defines, headers).process(source)
-        unit = Parser(tokens).parse()
+        with stage("preprocess", "kernelc"):
+            tokens = Preprocessor(all_defines, headers).process(source)
+        with stage("parse", "kernelc"):
+            unit = Parser(tokens).parse()
         opts = CodegenOptions(unroll=unroll and opt_level >= 1,
                               max_unroll=max_unroll,
                               fold=opt_level >= 1)
-        ir_module = CodeGen(unit, opts).run()
-        run_pipeline(ir_module, opt_level)
+        with stage("codegen", "kernelc"):
+            ir_module = CodeGen(unit, opts).run()
+        with stage("optimize", "kernelc"):
+            run_pipeline(ir_module, opt_level)
     except (PreprocessorError, LexError, ParseError, CodegenError) as exc:
         raise CompileError(str(exc)) from exc
     elapsed = time.perf_counter() - started

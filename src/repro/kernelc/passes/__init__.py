@@ -5,15 +5,19 @@ stage of nvcc, where the dissertation notes the important optimizations
 are applied (§2.4): constant folding/propagation, strength reduction,
 CSE, dead-code elimination, local-array scalarization (register
 blocking), and register-usage accounting.
+
+The pipeline is a straight line with no pass loop: constant folding,
+propagation, branch folding and unreachable-code removal are one sparse
+conditional constant-propagation walk (:func:`propagate_kernel`), and
+that walk followed by DCE is already a fixpoint.
 """
 
 from __future__ import annotations
 
 from repro.kernelc.ir import IRKernel, IRModule, renumber
-from repro.kernelc.passes.constfold import fold_kernel
 from repro.kernelc.passes.constprop import propagate_kernel
 from repro.kernelc.passes.cse import cse_kernel
-from repro.kernelc.passes.dce import dce_kernel, remove_unreachable
+from repro.kernelc.passes.dce import dce_kernel
 from repro.kernelc.passes.magicdiv import magic_divide_kernel
 from repro.kernelc.passes.regalloc import assign_registers
 from repro.kernelc.passes.scalarize import scalarize_kernel
@@ -23,30 +27,20 @@ from repro.kernelc.passes.strength import strength_reduce_kernel
 def optimize_kernel(kernel: IRKernel, opt_level: int = 3) -> None:
     """Run the optimization pipeline on one kernel, in place."""
     if opt_level >= 1:
-        _fold_fixpoint(kernel)
+        propagate_kernel(kernel)
+        dce_kernel(kernel)
         if opt_level >= 2:
             strength_reduce_kernel(kernel)
             magic_divide_kernel(kernel)
             cse_kernel(kernel)
-            _fold_fixpoint(kernel)
         scalarize_kernel(kernel)
-        _fold_fixpoint(kernel)
+        propagate_kernel(kernel)
+        dce_kernel(kernel)
         if opt_level >= 2:
             cse_kernel(kernel)
-        dce_kernel(kernel)
-        remove_unreachable(kernel)
+            dce_kernel(kernel)
     renumber(kernel)
     assign_registers(kernel)
-
-
-def _fold_fixpoint(kernel: IRKernel, max_rounds: int = 8) -> None:
-    for _ in range(max_rounds):
-        changed = fold_kernel(kernel)
-        changed |= propagate_kernel(kernel)
-        changed |= dce_kernel(kernel)
-        changed |= remove_unreachable(kernel)
-        if not changed:
-            break
 
 
 def run_pipeline(module: IRModule, opt_level: int = 3) -> None:

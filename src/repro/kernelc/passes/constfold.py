@@ -1,11 +1,15 @@
-"""Local constant folding and algebraic simplification.
+"""Per-instruction constant folding and algebraic simplification rules.
 
-Folds pure instructions whose operands are all immediates into ``mov``
-of the computed constant, and applies the usual algebraic identities
-(``x+0``, ``x*1``, ``x*0``, ``x<<0``, ``selp`` with equal arms...).
-Constant folding is the workhorse of kernel specialization: once ``-D``
-macros pin parameter values, whole address-computation chains collapse
-into immediates (compare Appendices C and D of the dissertation).
+:func:`fold_instr` computes the immediate a pure instruction produces
+when all of its operands are immediates, and :func:`fold_identity`
+applies the usual algebraic identities (``x+0``, ``x*1``, ``x*0``,
+``x<<0``, ``x&0``, ``x%1``...).  Neither walks a kernel: the
+constant-propagation walk (:mod:`~repro.kernelc.passes.constprop`)
+applies both to every reachable instruction once known constants are
+substituted.  Constant folding is the workhorse of kernel
+specialization: once ``-D`` macros pin parameter values, whole
+address-computation chains collapse into immediates (compare
+Appendices C and D of the dissertation).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 
 from repro.kernelc import typesys as T
 from repro.kernelc.codegen import fold_binary, fold_unary_math
-from repro.kernelc.ir import Imm, Instr, IRKernel, Reg
+from repro.kernelc.ir import Imm, Instr
 
 _BIN_OPS = {"add": "+", "sub": "-", "mul": "*", "div": "/", "rem": "%",
             "and": "&", "or": "|", "xor": "^", "shl": "<<", "shr": ">>"}
@@ -104,7 +108,7 @@ def fold_instr(instr: Instr) -> Optional[Imm]:
     return None
 
 
-def _identity(instr: Instr) -> Optional[Instr]:
+def fold_identity(instr: Instr) -> Optional[Instr]:
     """Apply algebraic identities, returning a replacement or None."""
     op, t, srcs = instr.op, instr.dtype, instr.srcs
     if len(srcs) != 2 or t.is_bool:
@@ -153,31 +157,3 @@ def _identity(instr: Instr) -> Optional[Instr]:
         if is_const(b, 1) and t.is_integer:
             return mov(Imm(T.convert_const(0, t), t))
     return None
-
-
-def fold_kernel(kernel: IRKernel) -> bool:
-    """Fold constants throughout *kernel*.  Returns True if changed."""
-    changed = False
-    body = kernel.body
-    for i, item in enumerate(body):
-        if not isinstance(item, Instr):
-            continue
-        folded = fold_instr(item)
-        if folded is not None:
-            if item.op == "mov" and isinstance(item.srcs[0], Imm) \
-                    and item.srcs[0] == folded:
-                continue
-            body[i] = Instr("mov", item.dtype, item.dst, [folded],
-                            pred=item.pred, pred_neg=item.pred_neg,
-                            line=item.line)
-            changed = True
-            continue
-        replacement = _identity(item)
-        if replacement is not None:
-            replacement.pred = item.pred
-            replacement.pred_neg = item.pred_neg
-            if not (replacement.op == item.op
-                    and replacement.srcs == item.srcs):
-                body[i] = replacement
-                changed = True
-    return changed

@@ -1,23 +1,25 @@
-"""Dead code elimination and unreachable-code removal.
+"""Dead code elimination.
 
-Liveness-based: pure instructions (and loads) whose destinations are
-never used are deleted.  Run after constant propagation, this removes
-the parameter-plumbing that specialization renders unnecessary — which
-is where the register-count reduction the dissertation reports comes
-from (specialized kernels no longer need registers to hold intermediate
-values computed from adjustable parameters, §2.4).
+Pure instructions (and loads) whose destinations are never read are
+deleted, repeatedly, until none is left; then so are the unguarded
+branches left jumping to the next label.  Run after the
+constant-propagation walk (which itself deletes the blocks it never
+reaches), this removes the parameter-plumbing that specialization
+renders unnecessary — which is where the register-count reduction the
+dissertation reports comes from (specialized kernels no longer need
+registers to hold intermediate values computed from adjustable
+parameters, §2.4).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
-from repro.kernelc.cfg import CFG
-from repro.kernelc.ir import Imm, Instr, IRKernel, Label, Reg
+from repro.kernelc.ir import Instr, IRKernel, Label, Reg
 
 
 def dce_kernel(kernel: IRKernel) -> bool:
-    """Delete dead pure instructions.  Returns True if changed."""
+    """Delete dead instructions.  Returns True if changed."""
     changed = False
     while True:
         used: Set[Reg] = set()
@@ -39,61 +41,23 @@ def dce_kernel(kernel: IRKernel) -> bool:
             new_body.append(item)
         kernel.body = new_body
         if not removed:
-            return changed
+            return _drop_jumps_to_next(kernel) or changed
 
 
-def remove_unreachable(kernel: IRKernel) -> bool:
-    """Drop instructions not reachable from the kernel entry.
-
-    Also removes trivial control flow: an unconditional branch to the
-    immediately following label.
-    """
-    changed = _drop_adjacent_branches(kernel)
-    cfg = CFG(kernel)
-    if not cfg.blocks:
-        return changed
-    reachable: Set[int] = set()
-    stack = [0]
-    while stack:
-        bid = stack.pop()
-        if bid in reachable:
+def _drop_jumps_to_next(kernel: IRKernel) -> bool:
+    """Delete each unguarded ``bra`` to a label that directly follows it."""
+    kept: List[object] = []
+    following: Set[str] = set()  # labels up to the next instruction
+    for item in reversed(kernel.body):
+        if isinstance(item, Label):
+            following.add(item.name)
+        elif item.op == "bra" and item.pred is None \
+                and item.target in following:
             continue
-        reachable.add(bid)
-        stack.extend(cfg.blocks[bid].succs)
-    dead = False
-    for block in cfg.blocks:
-        if block.bid in reachable:
-            continue
-        for i in range(block.start, block.end):
-            cfg.instrs[i].op = "nop"
-            cfg.instrs[i].dst = None
-            cfg.instrs[i].srcs = []
-            dead = True
-    if dead:
-        cfg.rebuild_body()
-        changed = True
-    return changed
-
-
-def _drop_adjacent_branches(kernel: IRKernel) -> bool:
-    """Remove ``bra L`` when L is the next label in program order."""
-    changed = False
-    body = kernel.body
-    out: List[object] = []
-    for i, item in enumerate(body):
-        if isinstance(item, Instr) and item.op == "bra" \
-                and item.pred is None:
-            j = i + 1
-            skip = False
-            while j < len(body) and isinstance(body[j], Label):
-                if body[j].name == item.target:
-                    skip = True
-                    break
-                j += 1
-            if skip:
-                changed = True
-                continue
-        out.append(item)
-    if changed:
-        kernel.body = out
-    return changed
+        else:
+            following = set()
+        kept.append(item)
+    if len(kept) == len(kernel.body):
+        return False
+    kernel.body = kept[::-1]
+    return True

@@ -250,6 +250,22 @@ class TestPipelineTracing:
         assert "refresh:scale" in names and "run:scale" in names
         assert "launch:scale" in names and "nvcc" in names
 
+    def test_nvcc_span_splits_into_compiler_stages(self):
+        ctx = ExecutionContext(name="obs-nvcc")
+        pipe = build_traced_pipeline(ctx)
+        pipe.run(1)
+        spans = ctx.tracer.spans
+        compiles = [s for s in spans if s.name == "nvcc"]
+        assert compiles
+        stages = ("preprocess", "parse", "codegen", "optimize")
+        for nvcc_span in compiles:
+            children = {s.name: s for s in spans
+                        if s.parent == nvcc_span.sid}
+            assert set(stages) <= set(children)
+            assert all(children[n].cat == "kernelc" for n in stages)
+            assert sum(children[n].duration for n in stages) \
+                <= nvcc_span.duration
+
     def test_launch_spans_carry_profiles(self):
         ctx = ExecutionContext(name="obs-prof")
         pipe = build_traced_pipeline(ctx)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpusim.occupancy import OccupancyError
 from repro.kernelc import nvcc
 from repro.kernelc import typesys as T
 from repro.kernelc.ir import Imm, Instr, Reg
 from repro.kernelc.passes.constfold import fold_instr, fold_mul24
-from tests.helpers import run_kernel
+from tests.helpers import KernelHarness, run_kernel
 
 rng = np.random.default_rng(5)
 
@@ -334,3 +335,64 @@ class TestDCEAndRegisters:
                 for rb in (2, 4, 8, 16)]
         assert regs == sorted(regs)
         assert regs[-1] - regs[0] >= 10
+
+
+def _shift_chain(count: int) -> str:
+    """``count`` locals shifted down one slot per loop trip: after ``n``
+    trips ``a0`` holds ``n - (count - 1)``, and constant propagation
+    needs one trip around the loop per local to learn that none of them
+    is a constant."""
+    decls = " ".join(f"int a{i} = 0;" for i in range(count))
+    shifts = " ".join(f"a{i} = a{i + 1};" for i in range(count - 1))
+    last = f"a{count - 1}"
+    return f"""
+    __global__ void k(int* o, int n) {{
+        {decls}
+        for (int i = 0; i < n; ++i) {{ {shifts} {last} = {last} + 1; }}
+        o[0] = a0;
+    }}
+    """
+
+
+class TestConstantPropagation:
+    def test_short_shift_chain_runs_correctly(self):
+        out = np.zeros(1, np.int32)
+        (result,), _ = KernelHarness(_shift_chain(40))(
+            1, 1, out, 1000, engine="serial")
+        assert int(result[0]) == 1000 - 39
+
+    def test_long_shift_chain_is_not_folded_to_a_constant(self):
+        # A propagation that rewrites before its facts converge folds
+        # the store to ``st [o], 0``: the kernel writes 0, not 701.
+        harness = KernelHarness(_shift_chain(300))
+        stores = [i for i in harness.kernel.ir.instructions()
+                  if i.op == "st"]
+        assert len(stores) == 1 and isinstance(stores[0].srcs[1], Reg)
+        # 300 live locals do not fit an SM: a typed error, not 0.
+        assert harness.kernel.reg_count > 300
+        with pytest.raises(OccupancyError):
+            harness(1, 1, np.zeros(1, np.int32), 1000, engine="serial")
+
+    def test_code_behind_a_branch_that_never_runs_is_ignored(self):
+        # The walk follows executable edges only: ``seen`` is only ever
+        # set inside ``if (seen)``, so it stays false, both guarded
+        # statements go, and ``v`` is the constant 0.
+        src = """
+        __global__ void k(int* o, int n) {
+            bool seen = false;
+            int v = 0;
+            for (int i = 0; i < n; ++i) {
+                if (seen) v = v + 7;
+                if (seen) seen = true;
+            }
+            o[0] = v;
+        }
+        """
+        harness = KernelHarness(src)
+        instrs = harness.kernel.ir.instructions()
+        (store,) = [i for i in instrs if i.op == "st"]
+        assert store.srcs[1] == Imm(0, T.S32)
+        # Only the loop's exit test and back edge branch.
+        assert len([i for i in instrs if i.op == "bra"]) == 2
+        (out,), _ = harness(1, 1, np.ones(1, np.int32), 5, engine="serial")
+        assert int(out[0]) == 0

@@ -218,5 +218,5 @@ class TestPIVSweepIntegration:
                             rb_values=[16], thread_values=[512])
         assert len(records) == 1
         assert not records[0].valid
-        assert "Occupancy" in records[0].error or \
-            "occupancy" in records[0].error.lower() or records[0].error
+        assert records[0].error.startswith("OccupancyError"), \
+            records[0].error
