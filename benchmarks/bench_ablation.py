@@ -18,7 +18,7 @@ This decomposes §6.2's RE-vs-SK gaps into the §2.4 optimization list.
 import numpy as np
 import pytest
 
-from benchmarks.common import piv_images, ms
+from benchmarks.common import harness_inputs, ms
 from repro.apps.piv import PIVProblem
 from repro.apps.piv.host import RB_MAX
 from repro.apps.piv.kernels import TREE_SRC
@@ -67,7 +67,7 @@ def _run(kernel, gpu, img_a, img_b):
 
 
 def _build():
-    img_a, img_b = piv_images(PROBLEM)
+    img_a, img_b = harness_inputs("piv", PROBLEM)
     img_a = img_a.astype(np.float32)
     rows = []
     baseline = None

@@ -40,8 +40,7 @@ import pytest
 
 import numpy as np
 
-from benchmarks.common import bench_header, piv_images, timed, \
-    tm_frames, write_bench_json
+from benchmarks.common import harness_inputs, timed, write_bench_json
 from repro.apps.piv.host import PIVConfig, PIVProcessor
 from repro.apps.piv.problems import MASK_SET
 from repro.apps.template_matching.host import MatchConfig, \
@@ -83,7 +82,7 @@ def _best_of(fn, *args, runs: int = 3):
 def _piv_case(problem, rb: int, threads: int,
               device=TESLA_C2070) -> dict:
     """One Table 6.22 PIV configuration under both engines."""
-    img_a, img_b = piv_images(problem)
+    img_a, img_b = harness_inputs("piv", problem)
 
     # Compile outside the timed region: the binary is engine-independent
     # and a long-running host would reuse it from the kernel cache.
@@ -129,7 +128,7 @@ def _piv_case(problem, rb: int, threads: int,
 
 def _tm_case(problem, tile, threads: int) -> dict:
     """One Table 6.21 template-matching configuration, both engines."""
-    frames, template, _ = tm_frames(problem)
+    frame, template = harness_inputs("template_matching", problem)
     tile_w, tile_h = tile
 
     # Pipelines are built (and kernels compiled) outside the timing.
@@ -138,13 +137,13 @@ def _tm_case(problem, tile, threads: int) -> dict:
         MatchConfig(tile_w=tile_w, tile_h=tile_h, threads=threads,
                     functional=True, engine=engine),
         TESLA_C2070) for engine in ("batched", "serial", "traced")}
-    wall_b, res_b = timed(matchers["batched"].match, frames[0])
-    wall_s, res_s = timed(matchers["serial"].match, frames[0])
+    wall_b, res_b = timed(matchers["batched"].match, frame)
+    wall_s, res_s = timed(matchers["serial"].match, frame)
     # Warm-vs-warm JIT comparison; equal run indices, as in _piv_case.
-    wall_bw, res_bw = _best_of(matchers["batched"].match, frames[0])
+    wall_bw, res_bw = _best_of(matchers["batched"].match, frame)
     counters = _trace_counters()
-    matchers["traced"].match(frames[0])
-    wall_t, res_t = _best_of(matchers["traced"].match, frames[0])
+    matchers["traced"].match(frame)
+    wall_t, res_t = _best_of(matchers["traced"].match, frame)
     counters = _counter_delta(counters, _trace_counters())
     return {
         "name": f"tm-{problem.name}-{tile_w}x{tile_h}-t{threads}",
@@ -244,7 +243,6 @@ def run_engine_bench() -> dict:
     total_bw = sum(c["wall_batched_warm_s"] for c in traced)
     total_t = sum(c["wall_traced_s"] for c in traced)
     payload = {
-        **bench_header(),
         "bench": "engine",
         "engines": ["serial", "batched", "traced"],
         "batch_blocks": DEFAULT_BATCH_BLOCKS,

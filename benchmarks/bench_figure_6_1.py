@@ -9,20 +9,20 @@ peak cell is marked '*' (the figures' white square).
 import pytest
 
 from benchmarks.bench_table_6_22 import RBS, THREADS
-from benchmarks.common import BENCH_CACHE, piv_images
+from benchmarks.common import DEVICES, SEED
 from repro.apps.piv.problems import MASK_SET, SCALE_NOTE
-from repro.gpusim import TESLA_C1060
 from repro.reporting import emit, format_table
-from repro.tuning import best_record, contour_series, piv_sweep
+from repro.tuning import best_record, contour_series, harness_sweep
 
 
 def build_contours(device):
+    """Contour panels on *device* (a :data:`DEVICES` key)."""
     sections = []
     peaks = []
     for problem in MASK_SET:
-        img_a, img_b = piv_images(problem)
-        records = piv_sweep(problem, device, img_a, img_b, RBS,
-                            THREADS, cache=BENCH_CACHE)
+        records = harness_sweep(
+            "piv", problem, {"rb": RBS, "threads": THREADS},
+            device=device, seed=SEED).records
         best = best_record(records)
         peaks.append((problem.name, best.config["rb"],
                       best.config["threads"]))
@@ -38,12 +38,12 @@ def build_contours(device):
         sections.append(format_table(
             ["regs\\threads"] + [str(t) for t in THREADS], rows,
             title=f"{problem.name} (mask {problem.mask}x{problem.mask})"
-                  f" on {device.name} — % of peak ('*' = peak)"))
+                  f" on {DEVICES[device].name} — % of peak ('*' = peak)"))
     return "\n\n".join(sections), peaks
 
 
 def _build():
-    return build_contours(TESLA_C1060)
+    return build_contours("c1060")
 
 
 @pytest.mark.slow

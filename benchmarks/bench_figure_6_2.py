@@ -9,12 +9,11 @@ import pytest
 
 from benchmarks.bench_figure_6_1 import build_contours
 from repro.apps.piv.problems import SCALE_NOTE
-from repro.gpusim import TESLA_C2070
 from repro.reporting import emit
 
 
 def _build():
-    return build_contours(TESLA_C2070)
+    return build_contours("c2070")
 
 
 @pytest.mark.slow

@@ -31,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import bench_header, timed, write_bench_json
+from benchmarks.common import timed, write_bench_json
 from repro.apps.harness import ProblemSpec, RunRequest, run_request
 from repro.apps.piv import PIVConfig, PIVProblem
 from repro.gpusim import DEVICES
@@ -103,7 +103,6 @@ def run_fleet_bench() -> dict:
         if n == 1:
             merge_overhead = fleets[n]["wall_overhead_frac"]
     payload = {
-        **bench_header(),
         "bench": "fleet",
         "app": "piv",
         "requests": REQUESTS,

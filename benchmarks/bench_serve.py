@@ -22,7 +22,6 @@ overhead stays under 2%.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -87,7 +86,6 @@ def run_serve_bench() -> dict:
         "requests": REQUESTS,
         "distinct_configs": len(CONFIGS),
         "repeats_best_of": REPEATS,
-        "cpu_count": os.cpu_count(),
         "wall_cold_s": wall_cold,
         "wall_warm_s": wall_warm,
         "wall_warm_muted_s": wall_muted,

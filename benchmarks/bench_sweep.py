@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import bench_header, timed, write_bench_json
+from benchmarks.common import timed, write_bench_json
 from repro.apps.harness import ProblemSpec
 from repro.apps.piv import PIVProblem
 from repro.tuning.app_sweeps import HarnessRunner
@@ -59,7 +59,6 @@ def run_sweep_bench() -> dict:
                  r.valid) for r in sweeper.records]
 
     payload = {
-        **bench_header(),
         "bench": "sweep",
         "app": "piv",
         "problem": PROBLEM.name,

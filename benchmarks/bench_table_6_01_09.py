@@ -4,7 +4,6 @@ These tables define *what* the result benches run; regenerating them
 means printing the encoded sets (with the documented scale factors).
 """
 
-from benchmarks.common import BENCH_CACHE
 from repro.apps.backprojection.problems import (BLOCK_SHAPES,
                                                 PROBLEMS as BP_PROBLEMS,
                                                 ZB_VALUES)

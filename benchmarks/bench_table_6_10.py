@@ -10,11 +10,11 @@ C1060.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, tm_frames, ms
+from benchmarks.common import DEVICES, SEED, ms
 from repro.apps.template_matching import cpu_match_seconds
 from repro.apps.template_matching.problems import PATIENTS_FULL
 from repro.reporting import emit, format_table, speedup
-from repro.tuning import best_record, tm_sweep
+from repro.tuning import best_record, harness_sweep
 
 SWEEP_TILES = [(16, 8), (16, 16)]
 SWEEP_THREADS = [128]
@@ -23,15 +23,15 @@ SWEEP_THREADS = [128]
 def _build():
     rows = []
     for problem in PATIENTS_FULL:
-        frames, template, _ = tm_frames(problem)
         cpu_s = cpu_match_seconds(problem.tmpl_h, problem.tmpl_w,
                                   problem.shift_h, problem.shift_w)
         row = [problem.name, f"{problem.tmpl_h}x{problem.tmpl_w}",
                f"{ms(cpu_s):.3f}"]
         for device in DEVICES:
-            records = tm_sweep(problem, template, frames[0],
-                               SWEEP_TILES, SWEEP_THREADS, device,
-                               cache=BENCH_CACHE)
+            records = harness_sweep(
+                "template_matching", problem,
+                {"tile": SWEEP_TILES, "threads": SWEEP_THREADS},
+                device=device, seed=SEED).records
             best = best_record(records)
             row += [f"{ms(best.seconds):.3f}",
                     f"{speedup(cpu_s, best.seconds):.1f}x"]

@@ -9,11 +9,11 @@ competitive on the smallest problems.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, piv_images, ms
+from benchmarks.common import DEVICES, SEED, ms
 from repro.apps.piv.problems import FPGA_SET, SCALE_NOTE
 from repro.baselines.fpga import PIV_FPGA, fpga_piv_time
 from repro.reporting import emit, format_table, speedup
-from repro.tuning import best_record, piv_sweep
+from repro.tuning import best_record, harness_sweep
 
 SWEEP_RB = [1, 4, 8]
 SWEEP_THREADS = [64, 128]
@@ -22,15 +22,14 @@ SWEEP_THREADS = [64, 128]
 def _build():
     rows = []
     for problem in FPGA_SET:
-        img_a, img_b = piv_images(problem)
         fpga_s = fpga_piv_time(PIV_FPGA, problem.n_windows,
                                problem.mask_pixels, problem.n_offsets)
         row = [problem.name, f"{problem.mask}x{problem.mask}",
                f"{problem.offs}x{problem.offs}", f"{ms(fpga_s):.3f}"]
         for device in DEVICES:
-            records = piv_sweep(problem, device, img_a, img_b,
-                                SWEEP_RB, SWEEP_THREADS,
-                                cache=BENCH_CACHE)
+            records = harness_sweep(
+                "piv", problem, {"rb": SWEEP_RB, "threads": SWEEP_THREADS},
+                device=device, seed=SEED).records
             best = best_record(records)
             row += [f"{ms(best.seconds):.3f}",
                     f"{speedup(fpga_s, best.seconds):.1f}x"]

@@ -6,12 +6,12 @@ C2070's higher throughput puts it in front.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, bp_projs, ms
+from benchmarks.common import DEVICES, SEED, ms
 from repro.apps.backprojection import cpu_backproject_seconds
 from repro.apps.backprojection.problems import (BLOCK_SHAPES, PROBLEMS,
                                                 SCALE_NOTE, ZB_VALUES)
 from repro.reporting import emit, format_table, speedup
-from repro.tuning import best_record, bp_sweep
+from repro.tuning import best_record, harness_sweep
 
 SWEEP_BLOCKS = [(16, 8), (16, 16)]
 SWEEP_ZB = [2, 4]
@@ -26,7 +26,6 @@ def _build():
     big = BPProblem("B3", nx=96, ny=96, nz=64, n_proj=48, det_u=128,
                     det_v=96)
     for problem in list(PROBLEMS) + [big]:
-        projections = bp_projs(problem)
         cpu_s = cpu_backproject_seconds(problem.nx, problem.ny,
                                         problem.nz, problem.n_proj)
         row = [problem.name,
@@ -35,8 +34,9 @@ def _build():
         blocks = SWEEP_BLOCKS if problem.name != "B3" else [(16, 16)]
         zbs = SWEEP_ZB if problem.name != "B3" else [4]
         for device in DEVICES:
-            records = bp_sweep(problem, projections, blocks, zbs,
-                               device, cache=BENCH_CACHE)
+            records = harness_sweep(
+                "backprojection", problem, {"block": blocks, "zb": zbs},
+                device=device, seed=SEED).records
             best = best_record(records)
             row += [f"{ms(best.seconds):.3f}",
                     f"{speedup(cpu_s, best.seconds):.1f}x"]

@@ -10,11 +10,12 @@ observations that SK wins and uses fewer registers.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, tm_frames, ms
-from repro.apps.template_matching import MatchConfig, TemplateMatcher
+from benchmarks.common import DEVICES, SEED, ms
+from repro.apps.harness import (ProblemSpec, RunRequest, get_harness,
+                                run_request)
 from repro.apps.template_matching.problems import PATIENTS_FULL
 from repro.reporting import emit, format_table, speedup
-from repro.tuning import best_record, tm_sweep
+from repro.tuning import best_record, harness_sweep
 
 SWEEP_TILES = [(16, 8), (16, 16)]
 SWEEP_THREADS = [128]
@@ -23,32 +24,24 @@ SWEEP_THREADS = [128]
 def _build():
     rows = []
     for problem in PATIENTS_FULL[:2]:  # two patients keep the bench short
-        frames, template, _ = tm_frames(problem)
-        for device in DEVICES:
-            records = tm_sweep(problem, template, frames[0],
-                               SWEEP_TILES, SWEEP_THREADS, device,
-                               cache=BENCH_CACHE)
+        for device, spec in DEVICES.items():
+            records = harness_sweep(
+                "template_matching", problem,
+                {"tile": SWEEP_TILES, "threads": SWEEP_THREADS},
+                device=device, seed=SEED).records
             best = best_record(records)
             tw, th = best.config["tile"]
-            threads = best.config["threads"]
-            sk_cfg = MatchConfig(tile_w=tw, tile_h=th, threads=threads,
-                                 specialize=True, functional=False,
-                                 sample_blocks=2)
-            re_cfg = MatchConfig(tile_w=tw, tile_h=th, threads=threads,
-                                 specialize=False, functional=False,
-                                 sample_blocks=2)
-            m_sk = TemplateMatcher(problem, template, sk_cfg,
-                                   device=device, cache=BENCH_CACHE)
-            m_re = TemplateMatcher(problem, template, re_cfg,
-                                   device=device, cache=BENCH_CACHE)
-            r_sk = m_sk.match(frames[0])
-            r_re = m_re.match(frames[0])
+            r_re = run_request(RunRequest(
+                ProblemSpec("template_matching", problem, seed=SEED,
+                            device=device),
+                get_harness("template_matching").sweep_config(
+                    best.config, specialize=False)))
             rows.append([
-                problem.name, device.name, f"{tw}x{th}", threads,
-                f"{ms(r_re.kernel_seconds):.3f}",
-                f"{ms(r_sk.kernel_seconds):.3f}",
-                f"{speedup(r_re.kernel_seconds, r_sk.kernel_seconds):.2f}x",
-                m_re.numerator_reg_count(), m_sk.numerator_reg_count()])
+                problem.name, spec.name, f"{tw}x{th}",
+                best.config["threads"],
+                f"{ms(r_re.seconds):.3f}", f"{ms(best.seconds):.3f}",
+                f"{speedup(r_re.seconds, best.seconds):.2f}x",
+                r_re.reg_count, best.reg_count])
     return format_table(
         ["patient", "device", "opt tile", "threads", "RE (ms)",
          "SK (ms)", "SK speedup", "RE regs", "SK regs"],

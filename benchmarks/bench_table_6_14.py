@@ -8,7 +8,7 @@ removes the reduction bottleneck (Figure 5.12), beating the tree.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, piv_images, ms
+from benchmarks.common import BENCH_CACHE, harness_inputs, ms
 from repro.apps.piv import PIVConfig, PIVProcessor
 from repro.apps.piv.problems import FPGA_SET, SCALE_NOTE
 from repro.gpusim import TESLA_C2070
@@ -30,7 +30,7 @@ def _run(problem, img_a, img_b, variant, specialize):
 def _build():
     rows = []
     for problem in FPGA_SET:
-        img_a, img_b = piv_images(problem)
+        img_a, img_b = harness_inputs("piv", problem)
         results = {}
         for variant in ("tree", "warpspec"):
             for specialize in (False, True):

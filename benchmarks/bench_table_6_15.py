@@ -8,11 +8,11 @@ device — this is what run-time specialization exploits.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, piv_images, ms
+from benchmarks.common import DEVICES, SEED, ms
 from repro.apps.piv.problems import FPGA_SET, RB_VALUES, SCALE_NOTE, \
     THREAD_COUNTS
 from repro.reporting import emit, format_table
-from repro.tuning import best_record, piv_sweep
+from repro.tuning import best_record, harness_sweep
 
 RBS = [1, 2, 4, 8]
 THREADS = [32, 64, 128]
@@ -22,13 +22,13 @@ def build_optima_table(problem_set, title_id, note):
     rows = []
     optima = set()
     for problem in problem_set:
-        img_a, img_b = piv_images(problem)
         row = [problem.name]
         for device in DEVICES:
-            records = piv_sweep(problem, device, img_a, img_b, RBS,
-                                THREADS, cache=BENCH_CACHE)
+            records = harness_sweep(
+                "piv", problem, {"rb": RBS, "threads": THREADS},
+                device=device, seed=SEED).records
             best = best_record(records)
-            optima.add((device.name, best.config["rb"],
+            optima.add((device, best.config["rb"],
                         best.config["threads"]))
             row += [f"{ms(best.seconds):.3f}", best.config["rb"],
                     best.config["threads"], best.reg_count,

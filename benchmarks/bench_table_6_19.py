@@ -9,11 +9,12 @@ the parameter plumbing disappears).
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, bp_projs, ms
-from repro.apps.backprojection import Backprojector, BPConfig
+from benchmarks.common import DEVICES, SEED, ms
 from repro.apps.backprojection.problems import PROBLEMS, SCALE_NOTE
+from repro.apps.harness import (ProblemSpec, RunRequest, get_harness,
+                                run_request)
 from repro.reporting import emit, format_table, speedup
-from repro.tuning import best_record, bp_sweep
+from repro.tuning import best_record, harness_sweep
 
 SWEEP_BLOCKS = [(16, 8), (16, 16)]
 SWEEP_ZB = [2, 4]
@@ -22,24 +23,22 @@ SWEEP_ZB = [2, 4]
 def _build():
     rows = []
     for problem in PROBLEMS:
-        projections = bp_projs(problem)
-        for device in DEVICES:
-            records = bp_sweep(problem, projections, SWEEP_BLOCKS,
-                               SWEEP_ZB, device, cache=BENCH_CACHE)
+        for device, spec in DEVICES.items():
+            records = harness_sweep(
+                "backprojection", problem,
+                {"block": SWEEP_BLOCKS, "zb": SWEEP_ZB},
+                device=device, seed=SEED).records
             best = best_record(records)
             bx, by = best.config["block"]
-            zb = best.config["zb"]
-            re_cfg = BPConfig(block_x=bx, block_y=by, zb=zb,
-                              specialize=False, functional=False,
-                              sample_blocks=2)
-            bp_re = Backprojector(problem, re_cfg, device=device,
-                                  cache=BENCH_CACHE)
-            r_re = bp_re.run(projections)
+            r_re = run_request(RunRequest(
+                ProblemSpec("backprojection", problem, seed=SEED,
+                            device=device),
+                get_harness("backprojection").sweep_config(
+                    best.config, specialize=False)))
             rows.append([
-                problem.name, device.name, f"{bx}x{by}", zb,
-                f"{ms(r_re.kernel_seconds):.3f}",
-                f"{ms(best.seconds):.3f}",
-                f"{speedup(r_re.kernel_seconds, best.seconds):.2f}x",
+                problem.name, spec.name, f"{bx}x{by}", best.config["zb"],
+                f"{ms(r_re.seconds):.3f}", f"{ms(best.seconds):.3f}",
+                f"{speedup(r_re.seconds, best.seconds):.2f}x",
                 r_re.reg_count, best.reg_count])
     return format_table(
         ["set", "device", "block*", "zb*", "RE (ms)", "SK (ms)",

@@ -10,7 +10,7 @@ blocks with high ILP can win.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, piv_images, ms
+from benchmarks.common import BENCH_CACHE, harness_inputs, ms
 from repro.apps.piv import PIVConfig, PIVProcessor
 from repro.apps.piv.problems import MASK_SET, SCALE_NOTE
 from repro.gpusim import TESLA_C1060
@@ -22,7 +22,7 @@ CONFIGS = [(1, 64), (1, 256), (4, 64), (4, 128), (8, 32), (8, 64)]
 
 
 def _build():
-    img_a, img_b = piv_images(V2)
+    img_a, img_b = harness_inputs("piv", V2)
     rows = []
     measured = {}
     for rb, threads in CONFIGS:

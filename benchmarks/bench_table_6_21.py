@@ -10,10 +10,10 @@ at run time.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, tm_frames
+from benchmarks.common import DEVICES, SEED
 from repro.apps.template_matching.problems import PATIENTS_FULL
 from repro.reporting import emit, format_table
-from repro.tuning import best_record, tm_sweep
+from repro.tuning import best_record, harness_sweep
 
 TILES = [(8, 8), (16, 8), (16, 16)]
 THREADS = [64, 128]
@@ -25,12 +25,13 @@ def _build():
     rows = []
     fractions = []
     for problem in PATIENTS_FULL[:2]:
-        frames, template, _ = tm_frames(problem)
-        for device in DEVICES:
-            records = tm_sweep(problem, template, frames[0], TILES,
-                               THREADS, device, cache=BENCH_CACHE)
+        for device, spec in DEVICES.items():
+            records = harness_sweep(
+                "template_matching", problem,
+                {"tile": TILES, "threads": THREADS},
+                device=device, seed=SEED).records
             peak = best_record(records).seconds
-            row = [problem.name, device.name]
+            row = [problem.name, spec.name]
             for (tw, th) in TILES:
                 for t in THREADS:
                     rec = next(r for r in records

@@ -8,10 +8,10 @@ some problems, on either device.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, piv_images
+from benchmarks.common import DEVICES, SEED
 from repro.apps.piv.problems import MASK_SET, SCALE_NOTE
 from repro.reporting import emit, format_table
-from repro.tuning import best_record, piv_sweep
+from repro.tuning import harness_sweep
 from repro.tuning.grids import percent_of_peak
 
 RBS = [1, 2, 4, 8]
@@ -19,14 +19,13 @@ THREADS = [32, 64, 128]
 
 
 def sweep_mask_sets():
-    """(problem, device) -> sweep records; shared with Figures 6.1/6.2."""
+    """(problem name, device key) -> sweep records."""
     out = {}
     for problem in MASK_SET:
-        img_a, img_b = piv_images(problem)
         for device in DEVICES:
-            out[(problem.name, device.name)] = piv_sweep(
-                problem, device, img_a, img_b, RBS, THREADS,
-                cache=BENCH_CACHE)
+            out[(problem.name, device)] = harness_sweep(
+                "piv", problem, {"rb": RBS, "threads": THREADS},
+                device=device, seed=SEED).records
     return out
 
 
@@ -37,10 +36,10 @@ def _build():
     fractions = []
     sweeps = sweep_mask_sets()
     for problem in MASK_SET:
-        for device in DEVICES:
-            records = sweeps[(problem.name, device.name)]
+        for device, spec in DEVICES.items():
+            records = sweeps[(problem.name, device)]
             _, _, grid = percent_of_peak(records, "rb", "threads")
-            row = [problem.name, device.name]
+            row = [problem.name, spec.name]
             for i, rb in enumerate(RBS):
                 for j, t in enumerate(THREADS):
                     cell = grid[i][j]

@@ -9,7 +9,7 @@ isolates the data-path choice on both device generations.
 
 import pytest
 
-from benchmarks.common import BENCH_CACHE, DEVICES, bp_projs, ms
+from benchmarks.common import BENCH_CACHE, DEVICES, harness_inputs, ms
 from repro.apps.backprojection import Backprojector, BPConfig
 from repro.apps.backprojection.problems import PROBLEMS, SCALE_NOTE
 from repro.reporting import emit, format_table, speedup
@@ -18,8 +18,8 @@ from repro.reporting import emit, format_table, speedup
 def _build():
     rows = []
     for problem in PROBLEMS:
-        projections = bp_projs(problem)
-        for device in DEVICES:
+        projections = harness_inputs("backprojection", problem)
+        for device in DEVICES.values():
             results = {}
             regs = {}
             for use_texture in (False, True):

@@ -61,21 +61,18 @@ def cmd_demo(args) -> int:
 def cmd_sweep(args) -> int:
     """Sweep the PIV (rb, threads) space and print the optimum."""
     from repro.apps.piv import PIVProblem
-    from repro.data.piv import particle_image_pair
     from repro.gpusim.device import DEVICES
     from repro.reporting import format_table
-    from repro.tuning import best_record, peak_grid_text, piv_sweep
+    from repro.tuning import best_record, harness_sweep, peak_grid_text
 
-    device = DEVICES[args.device]
     problem = PIVProblem("cli", args.height, args.width,
                          mask=args.mask, offs=args.offs)
-    img_a, img_b = particle_image_pair(args.height, args.width, seed=0)
-    records = piv_sweep(problem, device, img_a, img_b,
-                        rb_values=[1, 2, 4, 8],
-                        thread_values=[32, 64, 128])
+    records = harness_sweep("piv", problem,
+                            {"rb": [1, 2, 4, 8], "threads": [32, 64, 128]},
+                            device=args.device, seed=0).records
     headers, rows = peak_grid_text(records, "rb", "threads")
     print(format_table(headers, rows,
-                       title=f"% of peak on {device.name} "
+                       title=f"% of peak on {DEVICES[args.device].name} "
                              f"(mask {args.mask}, offsets {args.offs})"))
     best = best_record(records)
     print(f"\noptimum: rb={best.config['rb']} "

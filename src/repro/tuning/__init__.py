@@ -13,13 +13,11 @@ from repro.tuning.grids import (percent_of_peak, peak_grid_text,
                                 contour_series)
 from repro.tuning.autotune import (APP_RULES, AutoTuner, SECONDS_RTOL,
                                    TuneResult, diagnose)
-from repro.tuning.app_sweeps import (HarnessRunner, bp_sweep,
-                                     harness_autotune, harness_sweep,
-                                     piv_sweep, tm_sweep)
+from repro.tuning.app_sweeps import (HarnessRunner, harness_autotune,
+                                     harness_sweep)
 
 __all__ = ["Sweeper", "SweepRecord", "best_record",
            "grid_configs", "percent_of_peak", "peak_grid_text",
            "contour_series", "HarnessRunner", "harness_sweep",
-           "harness_autotune", "piv_sweep", "tm_sweep", "bp_sweep",
-           "APP_RULES", "AutoTuner", "SECONDS_RTOL", "TuneResult",
-           "diagnose"]
+           "harness_autotune", "APP_RULES", "AutoTuner", "SECONDS_RTOL",
+           "TuneResult", "diagnose"]

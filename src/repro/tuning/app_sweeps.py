@@ -1,37 +1,26 @@
-"""Application-specific sweep adapters.
+"""Application sweeps over the shared run protocol.
 
-Each builds the workload once and evaluates configurations with sampled
-(non-functional) launches, which is how autotuning over the simulator
-stays affordable: a handful of representative blocks per configuration,
-extrapolated by the timing model.
+Configurations are evaluated with sampled (non-functional) launches,
+which is how autotuning over the simulator stays affordable: a handful
+of representative blocks per configuration, extrapolated by the timing
+model.
 
-Two styles:
-
-* :class:`HarnessRunner` + :func:`harness_sweep` — the picklable path.
-  The runner carries only a :class:`~repro.apps.harness.ProblemSpec`
-  (seeds, not arrays) and rebuilds everything per evaluation via
-  :func:`~repro.apps.harness.run_request`, so it works identically
-  inline (``jobs=1``) and on worker processes (``jobs>1``).
-* the legacy ``piv_sweep`` / ``tm_sweep`` / ``bp_sweep`` closures —
-  inline only (closures over input arrays don't pickle), kept for
-  callers that already hold generated inputs.
+Every app sweep takes one path: :func:`harness_sweep` drives a
+:class:`Sweeper` with a :class:`HarnessRunner`.  The runner carries
+only a :class:`~repro.apps.harness.ProblemSpec` (seeds, not arrays) and
+rebuilds everything per evaluation via
+:func:`~repro.apps.harness.run_request`, so it works identically inline
+(``jobs=1``), on worker processes (``jobs>1``) and across a fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-import numpy as np
-
-from repro.apps.backprojection import Backprojector, BPConfig, BPProblem
 from repro.apps.harness import (ProblemSpec, RunRequest, get_harness,
                                 run_request)
-from repro.apps.piv import PIVConfig, PIVProblem, PIVProcessor
-from repro.apps.template_matching import (MatchConfig, MatchProblem,
-                                          TemplateMatcher)
 from repro.faults.plan import FaultPlan
-from repro.gpusim import DeviceSpec
 from repro.tuning.autotune import APP_RULES, AutoTuner
 from repro.tuning.sweep import SweepRecord, Sweeper, grid_configs
 
@@ -172,79 +161,3 @@ def harness_autotune(app: str, problem, axes: Mapping[str, Iterable],
     tuner.tune()
     return tuner
 
-
-def piv_sweep(problem: PIVProblem, device: DeviceSpec,
-              img_a: np.ndarray, img_b: np.ndarray,
-              rb_values: Iterable[int], thread_values: Iterable[int],
-              variant: str = "tree", specialize: bool = True,
-              sample_blocks: int = 2,
-              cache=None,
-              engine: Optional[str] = None) -> List[SweepRecord]:
-    """Sweep (rb, threads) for one PIV problem on one device."""
-
-    def run(config: dict) -> SweepRecord:
-        cfg = PIVConfig(variant=variant, rb=config["rb"],
-                        threads=config["threads"],
-                        specialize=specialize, functional=False,
-                        sample_blocks=sample_blocks, engine=engine)
-        proc = PIVProcessor(problem, cfg, device=device, cache=cache)
-        result = proc.run(img_a, img_b)
-        return SweepRecord(config=config, seconds=result.kernel_seconds,
-                           reg_count=result.reg_count,
-                           occupancy=result.occupancy)
-
-    sweeper = Sweeper(run)
-    cache = cache or sweeper.ctx.kernel_cache
-    return sweeper.sweep(grid_configs(rb=list(rb_values),
-                                      threads=list(thread_values)))
-
-
-def tm_sweep(problem: MatchProblem, template: np.ndarray,
-             frame: np.ndarray, tile_sizes, thread_values,
-             device: DeviceSpec, specialize: bool = True,
-             sample_blocks: int = 2,
-             cache=None,
-             engine: Optional[str] = None) -> List[SweepRecord]:
-    """Sweep (tile, threads) for one template-matching problem."""
-
-    def run(config: dict) -> SweepRecord:
-        tw, th = config["tile"]
-        cfg = MatchConfig(tile_w=tw, tile_h=th,
-                          threads=config["threads"],
-                          specialize=specialize, functional=False,
-                          sample_blocks=sample_blocks, engine=engine)
-        matcher = TemplateMatcher(problem, template, cfg, device=device,
-                                  cache=cache)
-        result = matcher.match(frame)
-        return SweepRecord(config=config,
-                           seconds=result.kernel_seconds,
-                           reg_count=matcher.numerator_reg_count())
-
-    sweeper = Sweeper(run)
-    cache = cache or sweeper.ctx.kernel_cache
-    return sweeper.sweep(grid_configs(tile=list(tile_sizes),
-                                      threads=list(thread_values)))
-
-
-def bp_sweep(problem: BPProblem, projections: np.ndarray,
-             block_shapes, zb_values, device: DeviceSpec,
-             specialize: bool = True, sample_blocks: int = 2,
-             cache=None,
-             engine: Optional[str] = None) -> List[SweepRecord]:
-    """Sweep (block shape, zb) for a backprojection problem."""
-
-    def run(config: dict) -> SweepRecord:
-        bx, by = config["block"]
-        cfg = BPConfig(block_x=bx, block_y=by, zb=config["zb"],
-                       specialize=specialize, functional=False,
-                       sample_blocks=sample_blocks, engine=engine)
-        bp = Backprojector(problem, cfg, device=device, cache=cache)
-        result = bp.run(projections)
-        return SweepRecord(config=config, seconds=result.kernel_seconds,
-                           reg_count=result.reg_count,
-                           occupancy=result.occupancy)
-
-    sweeper = Sweeper(run)
-    cache = cache or sweeper.ctx.kernel_cache
-    return sweeper.sweep(grid_configs(block=list(block_shapes),
-                                      zb=list(zb_values)))

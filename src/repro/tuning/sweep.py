@@ -27,8 +27,9 @@ class SweepRecord:
     #: alias).  Records of one call are always returned sorted by it.
     index: int = -1
     #: Plan/gang cache counters charged by runs that evaluated in a
-    #: private context of their own (harness runs); empty for
-    #: closure runs, which charge the sweep's context directly.
+    #: private context of their own (:class:`HarnessRunner` runs, so
+    #: every app sweep); empty for a plain callable, which charges the
+    #: sweep's context directly.
     counters: Dict[str, int] = field(default_factory=dict)
     #: site -> fired count from the run's fault injector (chaos
     #: sweeps); empty when no fault plan was installed.

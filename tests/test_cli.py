@@ -5,6 +5,20 @@ import pytest
 
 from repro.__main__ import main
 
+#: ``sweep --mask 8 --offs 5 --width 48 --height 48`` on the default
+#: device (PIV inputs regenerated from seed 0).
+SWEEP_48_OUTPUT = """\
+% of peak on Tesla C2070 (mask 8, offsets 5)
+rb\\threads | 32  | 64   | 128
+-----------+-----+------+----
+1          | 76% | 100% | 70%
+2          | 75% | 99%  | 71%
+4          | 72% | 94%  | 69%
+8          | 65% | 86%  | 62%
+
+optimum: rb=1 threads=64 (26.6 us simulated, 24 regs, occupancy 0.33)
+"""
+
 
 class TestCompileCommand:
     def test_compile_prints_ptx(self, tmp_path, capsys):
@@ -54,6 +68,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "% of peak" in out
         assert "optimum: rb=" in out
+
+    def test_sweep_output_is_pinned(self, capsys):
+        """The full report, byte for byte: the grid, its order, and the
+        optimum line must not move when the sweep path changes."""
+        assert main(["sweep", "--mask", "8", "--offs", "5",
+                     "--width", "48", "--height", "48"]) == 0
+        assert capsys.readouterr().out == SWEEP_48_OUTPUT
 
     def test_device_selection(self, capsys):
         assert main(["sweep", "--device", "c1060", "--mask", "8",

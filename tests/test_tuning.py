@@ -5,9 +5,9 @@ import pytest
 
 from repro.apps.piv import PIVProblem
 from repro.data.piv import particle_image_pair
-from repro.gpusim import TESLA_C1060, TESLA_C2070
-from repro.tuning import (best_record, contour_series, percent_of_peak,
-                          peak_grid_text, piv_sweep)
+from repro.gpusim import TESLA_C2070
+from repro.tuning import (best_record, contour_series, harness_sweep,
+                          percent_of_peak, peak_grid_text)
 from repro.tuning.sweep import SweepRecord, Sweeper, grid_configs
 
 
@@ -202,9 +202,9 @@ class TestGrids:
 class TestPIVSweepIntegration:
     def test_sweep_finds_interior_optimum(self):
         problem = PIVProblem("t", 48, 64, mask=8, offs=5)
-        a, b = particle_image_pair(48, 64, seed=0)
-        records = piv_sweep(problem, TESLA_C2070, a, b,
-                            rb_values=[1, 4], thread_values=[32, 64])
+        records = harness_sweep("piv", problem,
+                                {"rb": [1, 4], "threads": [32, 64]},
+                                device="c2070", seed=0).records
         assert len(records) == 4
         assert all(r.valid for r in records)
         best = best_record(records)
@@ -213,9 +213,9 @@ class TestPIVSweepIntegration:
     def test_unlaunchable_configs_survive_as_invalid(self):
         """rb=16 at 512 threads exceeds the C1060 register file."""
         problem = PIVProblem("t", 48, 64, mask=8, offs=5)
-        a, b = particle_image_pair(48, 64, seed=0)
-        records = piv_sweep(problem, TESLA_C1060, a, b,
-                            rb_values=[16], thread_values=[512])
+        records = harness_sweep("piv", problem,
+                                {"rb": [16], "threads": [512]},
+                                device="c1060", seed=0).records
         assert len(records) == 1
         assert not records[0].valid
         assert records[0].error.startswith("OccupancyError"), \
