@@ -315,6 +315,19 @@ def degrade_config(config):
     return config
 
 
+def request_context(spec: ProblemSpec,
+                    kernel_cache=None) -> ExecutionContext:
+    """The fresh private context a cold request on *spec* runs under.
+
+    A *kernel_cache* shared between such contexts lets requests reuse
+    each other's compiled modules (a harness run's inline cells);
+    every other cache, counter and per-request scope starts empty.
+    """
+    return ExecutionContext(device=spec.device_spec(),
+                            kernel_cache=kernel_cache,
+                            name=f"run:{spec.app}")
+
+
 def run_request(request: RunRequest,
                 context: Optional[ExecutionContext] = None) -> RunResult:
     """Evaluate one :class:`RunRequest`; cold by default, warm on reuse.
@@ -346,10 +359,7 @@ def run_request(request: RunRequest,
     if request.degrade:
         config = degrade_config(config)
         degraded = config is not request.config
-    ctx = context
-    if ctx is None:
-        ctx = ExecutionContext(device=spec.device_spec(),
-                               name=f"run:{spec.app}")
+    ctx = context if context is not None else request_context(spec)
     before = ctx.cache_counters() if context is not None else None
     injector = None
     if request.fault_plan is not None:

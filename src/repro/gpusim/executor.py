@@ -265,7 +265,8 @@ def plan_for(kernel: IRKernel, device: DeviceSpec,
     (*ctx*, default current): entries key on ``(id(kernel_ir),
     device.name)`` and are evicted by a weakref finalizer when the
     kernel IR dies, so a recycled ``id()`` can never alias a stale
-    plan.
+    plan.  The finalizer holds *ctx* weakly, so IR that outlives the
+    context never keeps the context's caches alive.
     """
     ctx = _ctx(ctx)
     key = (id(kernel), device.name)
@@ -282,8 +283,18 @@ def plan_for(kernel: IRKernel, device: DeviceSpec,
     else:
         plan = KernelPlan(kernel, device)
     ctx.plan_cache[key] = plan
-    weakref.finalize(kernel, ctx.plan_cache.pop, key, None)
+    weakref.finalize(kernel, _evict_plan, weakref.ref(ctx), key)
     return plan
+
+
+def _evict_plan(ctx_ref, key) -> None:
+    """Finalizer of one plan-cache entry.  It reaches the context
+    through a weakref: IR shared through a run-wide kernel cache
+    outlives the cell contexts that planned it, and must not pin their
+    plans, gang prototypes and traces."""
+    ctx = ctx_ref()
+    if ctx is not None:
+        ctx.plan_cache.pop(key, None)
 
 
 def clear_plan_cache(ctx=None) -> None:

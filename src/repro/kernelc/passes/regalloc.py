@@ -70,19 +70,25 @@ def assign_registers(kernel: IRKernel) -> int:
     peak = 0
     for block in cfg.blocks:
         live = set(live_out[block.bid])
-        # Walk backwards through the block tracking live sets.
+        # Walk backwards through the block tracking live sets; the
+        # pressure moves only when set membership changes.
         pressure = sum(_weight(r) for r in live)
         peak = max(peak, pressure)
         for i in range(block.end - 1, block.start - 1, -1):
             instr = cfg.instrs[i]
-            if instr.dst is not None:
-                live.discard(instr.dst)
+            dst = instr.dst
+            if dst is not None and dst in live:
+                live.remove(dst)
+                pressure -= _weight(dst)
             for s in instr.srcs:
-                if isinstance(s, Reg):
+                if isinstance(s, Reg) and s not in live:
                     live.add(s)
-            if instr.pred is not None:
-                live.add(instr.pred)
-            pressure = sum(_weight(r) for r in live)
-            peak = max(peak, pressure)
+                    pressure += _weight(s)
+            pred = instr.pred
+            if pred is not None and pred not in live:
+                live.add(pred)
+                pressure += _weight(pred)
+            if pressure > peak:
+                peak = pressure
     kernel.reg_count = peak + _ABI_OVERHEAD
     return kernel.reg_count

@@ -267,6 +267,8 @@ class ExecutionContext:
         into :meth:`MetricsRegistry.snapshot`, whose counters already
         hold the plan/gang/trace counts (``cache.plan_hits`` ...), so
         one dict answers every "how many" question about this context.
+        A kernel cache shared between contexts (a harness run's inline
+        cells) reports all of its traffic, not this context's share.
         """
         snap = self.metrics.snapshot()
         counters = snap["counters"]

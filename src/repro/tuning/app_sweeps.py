@@ -8,18 +8,22 @@ model.
 Every app sweep takes one path: :func:`harness_sweep` drives a
 :class:`Sweeper` with a :class:`HarnessRunner`.  The runner carries
 only a :class:`~repro.apps.harness.ProblemSpec` (seeds, not arrays) and
-rebuilds everything per evaluation via
+evaluates each cell in a fresh context via
 :func:`~repro.apps.harness.run_request`, so it works identically inline
 (``jobs=1``), on worker processes (``jobs>1``) and across a fleet.
+Within one :func:`harness_sweep` / :func:`harness_autotune` call the
+inline cells share one kernel cache (GPU-PF's binary cache, §4.3), so
+each distinct (source, defines) spelling compiles once per run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.apps.harness import (ProblemSpec, RunRequest, get_harness,
-                                run_request)
+                                request_context, run_request)
 from repro.faults.plan import FaultPlan
 from repro.tuning.autotune import APP_RULES, AutoTuner
 from repro.tuning.sweep import SweepRecord, Sweeper, grid_configs
@@ -30,11 +34,13 @@ class HarnessRunner:
     """A picklable sweep evaluator: grid config dict -> SweepRecord.
 
     Every ``__call__`` goes through
-    :func:`repro.apps.harness.run_request`, which builds a fresh
-    private :class:`ExecutionContext` and (when ``fault_plan`` is set)
+    :func:`repro.apps.harness.run_request` in a fresh
+    :class:`ExecutionContext` and (when ``fault_plan`` is set)
     re-installs the seeded injector inside whatever worker runs it —
     the guarantee that makes chaos sweeps work on worker processes.
-    Because each evaluation is hermetic, results are bit-identical
+    Inside :meth:`sharing_compiles` those contexts share one kernel
+    cache; plans, gang prototypes, traces, counters, injector, tracer
+    and deadline stay per evaluation, so records are bit-identical
     across ``jobs`` choices.
     """
 
@@ -56,9 +62,13 @@ class HarnessRunner:
             config, specialize=self.specialize,
             sample_blocks=self.sample_blocks,
             functional=self.functional, engine=self.engine)
+        cache = getattr(self, "_kernel_cache", None)
+        context = (None if cache is None
+                   else request_context(self.spec, kernel_cache=cache))
         result = run_request(RunRequest(self.spec, app_config,
                                         fault_plan=self.fault_plan,
-                                        trace=self.trace))
+                                        trace=self.trace),
+                             context=context)
         return SweepRecord(config=config, seconds=result.seconds,
                            reg_count=result.reg_count,
                            occupancy=result.occupancy,
@@ -67,6 +77,34 @@ class HarnessRunner:
                            trace=result.trace,
                            metrics=result.metrics,
                            profiles=list(result.profiles))
+
+    @contextmanager
+    def sharing_compiles(self) -> Iterator[None]:
+        """Share one :class:`~repro.gpupf.cache.KernelCache` among the
+        cells this runner evaluates inline during the with-block.
+
+        The cache is never pickled with the runner (``jobs>1`` and
+        fleet cells compile in their workers) and is dropped on exit,
+        so nothing the run returns keeps its modules alive.  A runner
+        with a ``fault_plan`` keeps a private cache per evaluation:
+        every cell's ``nvcc.*`` fault sites must fire.
+        """
+        if self.fault_plan is not None:
+            yield
+            return
+        from repro.gpupf.cache import KernelCache
+        object.__setattr__(self, "_kernel_cache", KernelCache())
+        try:
+            yield
+        finally:
+            object.__delattr__(self, "_kernel_cache")
+
+    def __getstate__(self):
+        # The run's cache stays in this process: served cells compile
+        # in their workers, one private cache per evaluation.
+        state = dict(self.__dict__)
+        state.pop("_kernel_cache", None)
+        return state
 
 
 def harness_sweep(app: str, problem, axes: Mapping[str, Iterable], *,
@@ -118,7 +156,9 @@ def harness_sweep(app: str, problem, axes: Mapping[str, Iterable], *,
                            fault_plan=fault_plan, trace=trace)
     sweeper = Sweeper(runner, jobs=jobs, start_method=start_method,
                       trace=trace, fleet=fleet)
-    sweeper.sweep(grid_configs(**{k: list(v) for k, v in axes.items()}))
+    with runner.sharing_compiles():
+        sweeper.sweep(grid_configs(**{k: list(v)
+                                      for k, v in axes.items()}))
     return sweeper
 
 
@@ -158,6 +198,7 @@ def harness_autotune(app: str, problem, axes: Mapping[str, Iterable],
                       {k: list(v) for k, v in axes.items()},
                       jobs=jobs, start_method=start_method,
                       trace=trace, **tuner_options)
-    tuner.tune()
+    with runner.sharing_compiles():
+        tuner.tune()
     return tuner
 

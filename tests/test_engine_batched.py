@@ -10,6 +10,7 @@ shared/constant/texture/local memory, atomics, and sampled launches.
 
 import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.gpupf.cache import KernelCache
 from repro.gpusim import (GPU, TESLA_C1060, TESLA_C2070,
                           clear_plan_cache, plan_for)
 from repro.kernelc import nvcc
-from repro.runtime import current_context
+from repro.runtime import ExecutionContext, current_context
 from repro.tuning.sweep import SweepRecord, Sweeper, best_record
 
 
@@ -527,6 +528,22 @@ def test_plan_cache_hits_and_eviction():
     gc.collect()
     assert len(ctx.plan_cache) == 0  # weakly held
     clear_plan_cache()
+
+
+def test_plan_cache_does_not_pin_its_context():
+    # IR shared through a kernel cache outlives the context that
+    # planned it; the eviction finalizer must not keep that context's
+    # plans (and the gang prototypes and traces riding them) alive.
+    cache = KernelCache()
+    ctx = ExecutionContext(kernel_cache=cache)
+    ir = cache.compile(DIVERGENT_SRC, arch="sm_20").kernel("k").ir
+    plan = weakref.ref(plan_for(ir, TESLA_C2070, ctx=ctx))
+    dead_ctx = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert dead_ctx() is None
+    assert plan() is None
+    assert ir is cache.compile(DIVERGENT_SRC, arch="sm_20").kernel("k").ir
 
 
 def test_launch_reuses_plan():

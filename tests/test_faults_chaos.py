@@ -212,11 +212,11 @@ class TestAutotuneChaos:
     TM_AXES = {"tile": [(8, 8), (16, 8)], "threads": [32, 64]}
 
     @staticmethod
-    def _tune(app, problem, axes, fault_plan=None):
+    def _tune(app, problem, axes, fault_plan=None, jobs=1):
         from repro.tuning import harness_autotune
         return harness_autotune(app, problem, axes, seed=11,
                                 memory_bytes=8 << 20,
-                                fault_plan=fault_plan)
+                                fault_plan=fault_plan, jobs=jobs)
 
     def test_absorbed_faults_leave_tuner_bit_identical(self):
         # One compile fault per evaluation, absorbed by the TM compile
@@ -237,6 +237,26 @@ class TestAutotuneChaos:
         # This was not a fault-free run: the injector fired per cell.
         assert all(r.faults.get("nvcc.compile")
                    for r in chaotic.records)
+
+    def test_chaos_tuning_identical_inline_and_served(self):
+        # A chaos run compiles every cell itself, inline as on worker
+        # processes, so each cell's nvcc.* fault sites fire alike.  The
+        # plan fires on a cell's second compile: a cell that reused an
+        # earlier cell's modules would not reach it.
+        plan = FaultPlan(seed=4, skips={"nvcc.compile": 1},
+                         counts={"nvcc.compile": 1})
+        inline = self._tune("template_matching", TM_PROBLEM,
+                            self.TM_AXES, fault_plan=plan)
+        served = self._tune("template_matching", TM_PROBLEM,
+                            self.TM_AXES, fault_plan=plan, jobs=2)
+
+        def rows(tuner):
+            return [(r.index, r.config, r.seconds, r.reg_count,
+                     r.occupancy, r.valid, r.error, r.counters, r.faults)
+                    for r in tuner.records]
+
+        assert rows(inline) == rows(served)
+        assert all(r.faults.get("nvcc.compile") for r in inline.records)
 
     def test_hard_faults_raise_typed_from_tuner(self):
         # PIV compiles outside any retry wrapper: every evaluation

@@ -5,7 +5,9 @@ The contract under test: a sweep's result is a pure function of
 trace in the records.
 """
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.apps.harness import ProblemSpec
 from repro.apps.piv import PIVProblem
 from repro.apps.template_matching import MatchProblem
 from repro.faults import FaultPlan
+from repro.gpupf import cache as cache_mod
 from repro.tuning.app_sweeps import HarnessRunner, harness_sweep
 from repro.tuning.sweep import (SweepRecord, Sweeper, best_record,
                                 grid_configs)
@@ -85,6 +88,32 @@ class TestOrderingAndIdentity:
         records = Sweeper(_uneven_run, jobs=4).sweep(configs)
         assert [r.config["n"] for r in records] == list(range(8))
         assert [r.index for r in records] == list(range(8))
+
+
+class TestCompileOncePerRun:
+    def test_inline_cells_share_compiles(self, monkeypatch):
+        # Backprojection's defines do not name the block shape, so two
+        # block shapes x two zb values are two programs: the inline
+        # cells compile each once, and still match the served sweep.
+        real_nvcc = cache_mod.nvcc
+        modules = []
+
+        def counting_nvcc(*args, **kwargs):
+            module = real_nvcc(*args, **kwargs)
+            modules.append(weakref.ref(module))
+            return module
+
+        monkeypatch.setattr(cache_mod, "nvcc", counting_nvcc)
+        inline = _sweep("backprojection", jobs=1)
+        monkeypatch.undo()
+        assert len(modules) == 2
+        served = _sweep("backprojection", jobs=2)
+        assert _comparable(inline.records) == _comparable(served.records)
+        assert inline.cache_report == served.cache_report
+        # The run's cache died with the run: nothing the returned
+        # sweeper holds keeps a compiled module alive.
+        gc.collect()
+        assert all(ref() is None for ref in modules)
 
 
 class TestProcessPoolErgonomics:
