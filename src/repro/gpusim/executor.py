@@ -122,6 +122,9 @@ class KernelPlan:
         self.ipdom = cfg.ipdom_instr()
         self._reg_index: Dict[Reg, int] = {}
         self._reg_dtypes: List[np.dtype] = []
+        # Read-only immediate lane arrays, one per (dtype, value); a
+        # non-int value keys by repr so 0.0 and -0.0 stay apart.
+        self._consts: Dict[Tuple, np.ndarray] = {}
         self.instrs: List[PlannedInstr] = [
             self._plan(i) for i in cfg.instrs]
         self.n_regs = len(self._reg_dtypes)
@@ -176,8 +179,12 @@ class KernelPlan:
             return ("r", idx, cast)
         if isinstance(operand, Imm):
             dtype = want_dtype or operand.ctype.np_dtype()
-            arr = np.full(WARP, operand.value, dtype=dtype)
-            arr.flags.writeable = False
+            value = operand.value
+            key = (dtype, value if value.__class__ is int else repr(value))
+            arr = self._consts.get(key)
+            if arr is None:
+                arr = self._consts[key] = np.full(WARP, value, dtype=dtype)
+                arr.flags.writeable = False
             return ("c", arr, None)
         if isinstance(operand, Special):
             return ("s", operand.name, want_dtype)
@@ -231,8 +238,8 @@ class KernelPlan:
             want = [None, p.np_dtype]
         else:
             want = [p.np_dtype] * len(instr.srcs)
-        p.srcs = tuple(self._operand(s, w)
-                       for s, w in zip(instr.srcs, want))
+        p.srcs = tuple([self._operand(s, w)
+                        for s, w in zip(instr.srcs, want)])
         reg_srcs = [d[1] for d in p.srcs if d[0] == "r"]
         if p.pred >= 0:
             reg_srcs.append(p.pred)

@@ -9,9 +9,15 @@ needs immediate post-dominators to pick warp reconvergence points
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernelc.ir import Instr, IRKernel, Label
+
+
+def branch_targets(instrs: Iterable[Instr]) -> Set[str]:
+    """The labels some ``bra`` in *instrs* jumps to.  Only these start
+    basic blocks, and only these survive :meth:`CFG.rebuild_body`."""
+    return {ins.target for ins in instrs if ins.op == "bra"}
 
 
 @dataclass
@@ -68,10 +74,9 @@ class CFG:
         for bid, start in enumerate(ordered):
             end = ordered[bid + 1] if bid + 1 < len(ordered) else n
             self.blocks.append(BasicBlock(bid, start, end))
-        self.block_of_instr = [0] * n
+        self.block_of_instr = []
         for block in self.blocks:
-            for i in range(block.start, block.end):
-                self.block_of_instr[i] = block.bid
+            self.block_of_instr += [block.bid] * (block.end - block.start)
         for block in self.blocks:
             if block.end == block.start:
                 continue
@@ -194,8 +199,7 @@ class CFG:
         ``'nop'``; this drops nops, re-emits labels, and removes labels
         that are no longer referenced.
         """
-        used_labels = {ins.target for ins in self.instrs
-                       if ins.op == "bra"}
+        used_labels = branch_targets(self.instrs)
         index_to_labels: Dict[int, List[str]] = {}
         for name, idx in self.label_index.items():
             if name in used_labels:

@@ -145,7 +145,8 @@ def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
                max_unroll, ctx) -> CompiledModule:
     """The compile itself (see :func:`nvcc`).  Traced, each compiler
     stage is a child span of ``nvcc`` in category ``kernelc``, so sums
-    over the ``compile`` category do not count the stages twice."""
+    over the ``compile`` category do not count the stages twice; each
+    optimization pass is a ``kernelc`` child span of ``optimize``."""
     stage = _untraced if ctx.tracer is None else ctx.tracer.span
     injector = ctx.injector
     if arch not in ARCH_MACROS:
@@ -174,7 +175,8 @@ def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
         with stage("codegen", "kernelc"):
             ir_module = CodeGen(unit, opts).run()
         with stage("optimize", "kernelc"):
-            run_pipeline(ir_module, opt_level)
+            run_pipeline(ir_module, opt_level,
+                         None if ctx.tracer is None else ctx.tracer.span)
     except (PreprocessorError, LexError, ParseError, CodegenError) as exc:
         raise CompileError(str(exc)) from exc
     elapsed = time.perf_counter() - started

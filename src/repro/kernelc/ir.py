@@ -11,6 +11,16 @@ PTX → SASS register assignment step of the real toolchain.
 Memory spaces: ``global``, ``shared``, ``const``, ``local``, ``param``.
 Special-register reads (thread/block indices and dimensions) use ``mov``
 from a :class:`Special` operand, as PTX does (``mov.u32 %r1, %tid.x``).
+
+Register identity: a :class:`Reg` is the object :meth:`RegFactory.new`
+returned, and registers compare and hash by identity.  ``new`` is the
+only constructor the compiler uses, and every register it hands out
+within one kernel has a distinct name: codegen's factory counts from 0,
+and the passes that add registers (strength reduction, scalarization and
+magic division) start their own factories at 1M, 2M and 3M.  So identity
+and name agree, and passes key dictionaries and sets by register without
+hashing its fields.  Pickling keeps identity within one pickle, so a
+module round-trips with its registers shared as before.
 """
 
 from __future__ import annotations
@@ -24,15 +34,13 @@ from repro.kernelc import typesys as T
 # Operands
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reg:
-    """A virtual register.  ``name`` is unique within a kernel."""
+    """A virtual register, equal only to itself (see the module
+    docstring).  ``name`` is unique within a kernel."""
 
     name: str
     ctype: object
-
-    def __hash__(self) -> int:  # names are unique per kernel
-        return hash(self.name)
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -320,14 +328,18 @@ def renumber(kernel: IRKernel) -> None:
     mapping: Dict[Reg, Reg] = {}
 
     def remap(reg: Reg) -> Reg:
-        if reg not in mapping:
-            mapping[reg] = factory.new(reg.ctype)
-        return mapping[reg]
+        new = mapping.get(reg)
+        if new is None:
+            new = mapping[reg] = factory.new(reg.ctype)
+        return new
 
-    for instr in kernel.instructions():
+    for instr in kernel.body:
+        if not isinstance(instr, Instr):
+            continue
         if instr.dst is not None:
             instr.dst = remap(instr.dst)
-        instr.srcs = [remap(s) if isinstance(s, Reg) else s
-                      for s in instr.srcs]
+        if instr.srcs:
+            instr.srcs = [remap(s) if isinstance(s, Reg) else s
+                          for s in instr.srcs]
         if instr.pred is not None:
             instr.pred = remap(instr.pred)

@@ -6,10 +6,11 @@ are applied (§2.4): constant folding/propagation, strength reduction,
 CSE, dead-code elimination, local-array scalarization (register
 blocking), and register-usage accounting.
 
-The pipeline is a straight line with no pass loop: constant folding,
-propagation, branch folding and unreachable-code removal are one sparse
-conditional constant-propagation walk (:func:`propagate_kernel`), and
-that walk followed by DCE is already a fixpoint.
+The pipeline is a straight line with no pass loop (:data:`PASSES`):
+constant folding, propagation, branch folding and unreachable-code
+removal are one sparse conditional constant-propagation walk
+(:func:`propagate_kernel`), and that walk followed by DCE is already a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -24,26 +25,43 @@ from repro.kernelc.passes.scalarize import scalarize_kernel
 from repro.kernelc.passes.strength import strength_reduce_kernel
 
 
-def optimize_kernel(kernel: IRKernel, opt_level: int = 3) -> None:
-    """Run the optimization pipeline on one kernel, in place."""
-    if opt_level >= 1:
-        propagate_kernel(kernel)
-        dce_kernel(kernel)
-        if opt_level >= 2:
-            strength_reduce_kernel(kernel)
-            magic_divide_kernel(kernel)
-            cse_kernel(kernel)
-        scalarize_kernel(kernel)
-        propagate_kernel(kernel)
-        dce_kernel(kernel)
-        if opt_level >= 2:
-            cse_kernel(kernel)
-            dce_kernel(kernel)
-    renumber(kernel)
-    assign_registers(kernel)
+#: The pipeline, in order: (span name, pass, lowest ``-O`` level that
+#: runs it).  Every pass rewrites one kernel in place.
+PASSES = (
+    ("constprop", propagate_kernel, 1),
+    ("dce", dce_kernel, 1),
+    ("strength", strength_reduce_kernel, 2),
+    ("magicdiv", magic_divide_kernel, 2),
+    ("cse", cse_kernel, 2),
+    ("scalarize", scalarize_kernel, 1),
+    ("constprop", propagate_kernel, 1),
+    ("dce", dce_kernel, 1),
+    ("cse", cse_kernel, 2),
+    ("dce", dce_kernel, 2),
+    ("renumber", renumber, 0),
+    ("regalloc", assign_registers, 0),
+)
 
 
-def run_pipeline(module: IRModule, opt_level: int = 3) -> None:
-    """Optimize every kernel of *module* in place."""
+def optimize_kernel(kernel: IRKernel, opt_level: int = 3,
+                    span=None) -> None:
+    """Run the optimization pipeline on one kernel, in place.
+
+    *span* is a tracer's ``span(name, cat)``; when given, each pass
+    runs in its own span of category ``kernelc``.
+    """
+    for name, run, level in PASSES:
+        if opt_level < level:
+            continue
+        if span is None:
+            run(kernel)
+        else:
+            with span(name, "kernelc"):
+                run(kernel)
+
+
+def run_pipeline(module: IRModule, opt_level: int = 3, span=None) -> None:
+    """Optimize every kernel of *module* in place (see
+    :func:`optimize_kernel` for *span*)."""
     for kernel in module.kernels.values():
-        optimize_kernel(kernel, opt_level)
+        optimize_kernel(kernel, opt_level, span)

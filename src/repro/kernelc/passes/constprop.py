@@ -12,21 +12,28 @@ an iteration cap.
 
 The rewrite then substitutes the known constants, applies
 :mod:`~repro.kernelc.passes.constfold`'s per-instruction rule
-(:func:`fold_instr`, then the algebraic identities) to every reachable
+(:func:`fold_values`, then the algebraic identities) to every reachable
 instruction, folds constant branches and guards, and deletes the blocks
 the walk never reached — which is how whole run-time-guard regions
 disappear from specialized kernels.  One walk followed by DCE (which
 also drops the branches left jumping to the next label) is a fixpoint:
 running both again changes nothing.
+
+Each instruction is folded once.  The walk records every instruction's
+answer (:func:`_evaluate`) on its block's last visit, which sees the
+block's final in-environment, and the rewrite reuses it; only an
+instruction whose guard stays unknown is folded by the rewrite itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.kernelc import typesys as T
 from repro.kernelc.cfg import CFG
-from repro.kernelc.ir import Imm, Instr, IRKernel, Reg
-from repro.kernelc.passes.constfold import fold_identity, fold_instr
+from repro.kernelc.ir import PURE_OPS, Imm, Instr, IRKernel, Reg
+from repro.kernelc.passes.constfold import (ZERO, fold_identity,
+                                            fold_values, identity)
 
 #: Lattice bottom: definitely not a constant.  A register missing from
 #: an environment is still unset (lattice top).
@@ -43,58 +50,77 @@ def _runs(instr: Instr, lookup) -> Optional[bool]:
     return bool(known) != instr.pred_neg
 
 
-def _substitute(srcs, lookup) -> list:
-    """*srcs* with each register of known constant value replaced."""
-    out = []
-    for s in srcs:
+def _substitute(srcs, lookup) -> Optional[list]:
+    """*srcs* with each register of known constant value replaced, or
+    None when no register has one."""
+    out = None
+    for j, s in enumerate(srcs):
         if isinstance(s, Reg):
             known = lookup(s)
             if known is not None and known is not _BOTTOM:
-                s = Imm(known, s.ctype)
-        out.append(s)
+                if out is None:
+                    out = list(srcs)
+                out[j] = Imm(known, s.ctype)
     return out
 
 
-def _simplify(instr: Instr):
-    """(replacement or None, constant result or None) for *instr*:
-    :func:`fold_instr` turns it into a ``mov`` of an immediate, or else
-    an algebraic identity reduces it (``x*0`` to a constant too)."""
-    folded = fold_instr(instr)
-    if folded is not None:
-        if instr.op == "mov" and instr.srcs[0] == folded:
-            return None, folded
-        return Instr("mov", instr.dtype, instr.dst, [folded],
-                     pred=instr.pred, pred_neg=instr.pred_neg,
-                     line=instr.line), folded
-    simpler = fold_identity(instr)
-    if simpler is None:
-        return None, None
-    simpler.pred = instr.pred
-    simpler.pred_neg = instr.pred_neg
-    return simpler, fold_instr(simpler)
+#: :func:`_evaluate`'s answer for an instruction that stays as it is.
+_UNKNOWN = (None, _BOTTOM)
 
 
-def _value_of(instr: Instr, lookup) -> object:
-    """Fact for the register an unguarded *instr* writes."""
-    if not instr.is_pure():
-        return _BOTTOM
-    srcs = _substitute(instr.srcs, lookup)
-    immediates = sum(isinstance(s, Imm) for s in srcs)
-    if immediates < len(srcs) and (immediates == 0 or len(srcs) != 2):
-        return _BOTTOM  # neither folds nor meets a binary identity
-    _, folded = _simplify(Instr(instr.op, instr.dtype, instr.dst, srcs,
-                                cmp=instr.cmp))
-    return _BOTTOM if folded is None else folded.value
+def _evaluate(instr: Instr, lookup) -> Tuple[Optional[Imm], object]:
+    """(folded, fact) for *instr* under the constants *lookup* knows.
+
+    ``folded`` is the immediate :func:`fold_values` computes when every
+    source is constant; the rewrite turns the instruction into a ``mov``
+    of it.  ``fact`` is the value the destination holds when the
+    instruction runs: ``folded``'s, or the constant an algebraic
+    identity leaves (``x*0``), or :data:`_BOTTOM`.
+    """
+    op = instr.op
+    if op not in PURE_OPS:
+        return _UNKNOWN
+    srcs = instr.srcs
+    values = []
+    unknown = False
+    for s in srcs:
+        if isinstance(s, Imm):
+            values.append(s.value)
+            continue
+        value = lookup(s) if isinstance(s, Reg) else None
+        if value is None or value is _BOTTOM:
+            if unknown or len(srcs) != 2:
+                return _UNKNOWN  # neither folds nor meets an identity
+            unknown = True
+            value = None
+        values.append(value)
+    t = instr.dtype
+    if not unknown:
+        folded = fold_values(op, t, instr.cmp, values)
+        if folded is not None:
+            return folded, folded.value
+    if len(srcs) != 2:
+        return _UNKNOWN
+    pick = identity(op, t, values[0], values[1])
+    if pick == ZERO:
+        return None, T.convert_const(0, t)
+    if pick is None or values[pick] is None:
+        return _UNKNOWN
+    return None, T.convert_const(values[pick], t)
 
 
-def _transfer(cfg: CFG, block, env: Dict[Reg, object], interesting):
+def _transfer(cfg: CFG, block, env: Dict[Reg, object], interesting,
+              results: list):
     """Run constants through one block.
 
-    Returns the out-environment and the executable successors.  Only
-    *interesting* registers (those live across block boundaries) are
-    tracked globally; block-local values are handled by the rewrite
-    walk, which keeps the dataflow dictionaries small even for fully
-    unrolled kernels.
+    Returns the out-environment and the executable successors, and
+    stores each instruction's :func:`_evaluate` answer in *results*
+    (None where it did not run unguarded).  The block's last transfer
+    sees its final in-environment, so the rewrite takes those answers
+    as they are.  Only *interesting* registers (those live across block
+    boundaries) are tracked globally; block-local values are kept in a
+    scratch dictionary per visit, which keeps the dataflow dictionaries
+    small even for fully unrolled kernels.
     """
     env = dict(env)
     local: Dict[Reg, object] = {}
@@ -103,15 +129,21 @@ def _transfer(cfg: CFG, block, env: Dict[Reg, object], interesting):
         v = local.get(reg)
         return v if v is not None else env.get(reg)
 
+    instrs = cfg.instrs
     for i in range(block.start, block.end):
-        instr = cfg.instrs[i]
+        instr = instrs[i]
         dst = instr.dst
         if dst is None:
             continue
         runs = _runs(instr, lookup)
         if runs is False:
             continue
-        value = _value_of(instr, lookup) if runs else _BOTTOM
+        if runs:
+            result = results[i] = _evaluate(instr, lookup)
+            value = result[1]
+        else:
+            results[i] = None
+            value = _BOTTOM
         if dst in interesting:
             env[dst] = value
             local.pop(dst, None)
@@ -119,7 +151,7 @@ def _transfer(cfg: CFG, block, env: Dict[Reg, object], interesting):
             local[dst] = value
     succs = block.succs
     if block.end > block.start:
-        last = cfg.instrs[block.end - 1]
+        last = instrs[block.end - 1]
         if last.op == "bra" and last.pred is not None:
             runs = _runs(last, lookup)
             if runs is not None:
@@ -162,7 +194,7 @@ def _interesting_regs(cfg: CFG):
     return interesting
 
 
-def _solve(cfg: CFG) -> List[Optional[Dict[Reg, object]]]:
+def _solve(cfg: CFG, results: list) -> List[Optional[Dict[Reg, object]]]:
     """In-environment per block; None for blocks never reached."""
     interesting = _interesting_regs(cfg)
     nblocks = len(cfg.blocks)
@@ -172,7 +204,8 @@ def _solve(cfg: CFG) -> List[Optional[Dict[Reg, object]]]:
     worklist = [0]
     while worklist:
         bid = worklist.pop()
-        out = _transfer(cfg, cfg.blocks[bid], block_in[bid], interesting)
+        out = _transfer(cfg, cfg.blocks[bid], block_in[bid], interesting,
+                        results)
         if block_out[bid] == out:
             continue
         block_out[bid] = out
@@ -195,15 +228,18 @@ def _delete(instr: Instr) -> None:
     instr.srcs = []
 
 
-def _rewrite(cfg: CFG, block, env: Dict[Reg, object]) -> bool:
-    """Fold one reachable block under its in-environment."""
+def _rewrite(cfg: CFG, block, env: Dict[Reg, object],
+             results: list) -> bool:
+    """Fold one reachable block under its in-environment, taking each
+    instruction's answer from the solve where it is final."""
     env = dict(env)
     changed = False
     for i in range(block.start, block.end):
         instr = cfg.instrs[i]
         srcs = _substitute(instr.srcs, env.get)
-        changed |= any(a is not b for a, b in zip(srcs, instr.srcs))
-        instr.srcs = srcs
+        if srcs is not None:
+            instr.srcs = srcs
+            changed = True
         runs = _runs(instr, env.get)
         if runs is False:
             _delete(instr)
@@ -213,13 +249,24 @@ def _rewrite(cfg: CFG, block, env: Dict[Reg, object]) -> bool:
             instr.pred = None
             instr.pred_neg = False
             changed = True
-        simpler, folded = _simplify(instr)
+        result = results[i] if runs else None
+        folded, fact = result or _evaluate(instr, env.get)
+        if folded is not None:
+            simpler = None
+            if instr.op != "mov" or instr.srcs[0] != folded:
+                simpler = Instr("mov", instr.dtype, instr.dst, [folded],
+                                pred=instr.pred, pred_neg=instr.pred_neg,
+                                line=instr.line)
+        else:
+            simpler = fold_identity(instr)
+            if simpler is not None:
+                simpler.pred = instr.pred
+                simpler.pred_neg = instr.pred_neg
         if simpler is not None:
             instr = cfg.instrs[i] = simpler
             changed = True
         if instr.dst is not None:
-            known = runs and folded is not None
-            env[instr.dst] = folded.value if known else _BOTTOM
+            env[instr.dst] = fact if runs else _BOTTOM
     return changed
 
 
@@ -229,12 +276,13 @@ def propagate_kernel(kernel: IRKernel) -> bool:
     cfg = CFG(kernel)
     if not cfg.blocks:
         return False
-    block_in = _solve(cfg)
+    results: list = [None] * len(cfg.instrs)
+    block_in = _solve(cfg, results)
     changed = False
     for block in cfg.blocks:
         env = block_in[block.bid]
         if env is not None:
-            changed |= _rewrite(cfg, block, env)
+            changed |= _rewrite(cfg, block, env, results)
             continue
         for i in range(block.start, block.end):
             _delete(cfg.instrs[i])

@@ -1,10 +1,12 @@
 """Dead code elimination.
 
 Pure instructions (and loads) whose destinations are never read are
-deleted, repeatedly, until none is left; then so are the unguarded
-branches left jumping to the next label.  Run after the
-constant-propagation walk (which itself deletes the blocks it never
-reaches), this removes the parameter-plumbing that specialization
+deleted, and so, in turn, are the ones only they read; then the
+unguarded branches left jumping to the next label go too.  One pass
+counts the reads of every register, and a worklist deletes each dead
+instruction once, queuing the definitions whose last read it was.  Run
+after the constant-propagation walk (which itself deletes the blocks it
+never reaches), this removes the parameter-plumbing that specialization
 renders unnecessary — which is where the register-count reduction the
 dissertation reports comes from (specialized kernels no longer need
 registers to hold intermediate values computed from adjustable
@@ -13,35 +15,42 @@ parameters, §2.4).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
-from repro.kernelc.ir import Instr, IRKernel, Label, Reg
+from repro.kernelc.ir import PURE_OPS, Instr, IRKernel, Label, Reg
 
 
 def dce_kernel(kernel: IRKernel) -> bool:
     """Delete dead instructions.  Returns True if changed."""
-    changed = False
-    while True:
-        used: Set[Reg] = set()
-        for instr in kernel.instructions():
-            for s in instr.srcs:
-                if isinstance(s, Reg):
-                    used.add(s)
+    reads: Dict[Reg, int] = {}
+    defs: Dict[Reg, List[Instr]] = {}
+    for item in kernel.body:
+        if not isinstance(item, Instr):
+            continue
+        for s in item.srcs:
+            if isinstance(s, Reg):
+                reads[s] = reads.get(s, 0) + 1
+        if item.pred is not None:
+            reads[item.pred] = reads.get(item.pred, 0) + 1
+        if item.dst is not None and (item.op in PURE_OPS
+                                     or item.op == "ld"):
+            defs.setdefault(item.dst, []).append(item)
+    dead: Set[int] = set()
+    worklist = [reg for reg in defs if reg not in reads]
+    while worklist:
+        for instr in defs.pop(worklist.pop()):
+            dead.add(id(instr))
+            operands = [s for s in instr.srcs if isinstance(s, Reg)]
             if instr.pred is not None:
-                used.add(instr.pred)
-        removed = False
-        new_body: List[object] = []
-        for item in kernel.body:
-            if isinstance(item, Instr) and item.dst is not None \
-                    and item.dst not in used \
-                    and (item.is_pure() or item.op == "ld"):
-                removed = True
-                changed = True
-                continue
-            new_body.append(item)
-        kernel.body = new_body
-        if not removed:
-            return _drop_jumps_to_next(kernel) or changed
+                operands.append(instr.pred)
+            for reg in operands:
+                reads[reg] -= 1
+                if not reads[reg] and reg in defs:
+                    worklist.append(reg)
+    if dead:
+        kernel.body = [item for item in kernel.body
+                       if id(item) not in dead]
+    return _drop_jumps_to_next(kernel) or bool(dead)
 
 
 def _drop_jumps_to_next(kernel: IRKernel) -> bool:
@@ -54,7 +63,7 @@ def _drop_jumps_to_next(kernel: IRKernel) -> bool:
         elif item.op == "bra" and item.pred is None \
                 and item.target in following:
             continue
-        else:
+        elif following:
             following = set()
         kept.append(item)
     if len(kept) == len(kernel.body):

@@ -30,6 +30,16 @@ class ScalarType:
     bits: int
     signed: bool = True
 
+    def __post_init__(self) -> None:
+        # Both are asked for once per instruction by the passes and the
+        # launch planner, so each is computed once per type.
+        object.__setattr__(self, "_np_dtype", _scalar_dtype(self))
+        object.__setattr__(self, "_ptx_suffix", _scalar_suffix(self))
+
+    def __reduce__(self):
+        # Pickle the fields only; unpickling recomputes the memos.
+        return ScalarType, (self.name, self.kind, self.bits, self.signed)
+
     def __hash__(self) -> int:  # cheap: name determines identity
         return hash(self.name)
 
@@ -56,34 +66,42 @@ class ScalarType:
 
     def np_dtype(self) -> np.dtype:
         """The NumPy dtype used to hold lane values of this type."""
-        if self.kind == "bool":
-            return np.dtype(np.bool_)
-        if self.kind == "float":
-            return np.dtype(np.float32 if self.bits == 32 else np.float64)
-        if self.kind == "int":
-            table = {
-                (8, True): np.int8,
-                (8, False): np.uint8,
-                (16, True): np.int16,
-                (16, False): np.uint16,
-                (32, True): np.int32,
-                (32, False): np.uint32,
-                (64, True): np.int64,
-                (64, False): np.uint64,
-            }
-            return np.dtype(table[(self.bits, self.signed)])
-        raise ValueError(f"no dtype for {self.name}")
+        if self._np_dtype is None:
+            raise ValueError(f"no dtype for {self.name}")
+        return self._np_dtype
 
     def ptx_suffix(self) -> str:
         """The PTX-style type suffix used when printing IR (e.g. ``.s32``)."""
-        if self.kind == "bool":
-            return ".pred"
-        if self.kind == "float":
-            return f".f{self.bits}"
-        return f".{'s' if self.signed else 'u'}{self.bits}"
+        return self._ptx_suffix
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
+
+
+_INT_DTYPES = {
+    (8, True): np.int8, (8, False): np.uint8,
+    (16, True): np.int16, (16, False): np.uint16,
+    (32, True): np.int32, (32, False): np.uint32,
+    (64, True): np.int64, (64, False): np.uint64,
+}
+
+
+def _scalar_dtype(t: ScalarType) -> Optional[np.dtype]:
+    if t.kind == "bool":
+        return np.dtype(np.bool_)
+    if t.kind == "float":
+        return np.dtype(np.float32 if t.bits == 32 else np.float64)
+    if t.kind == "int":
+        return np.dtype(_INT_DTYPES[(t.bits, t.signed)])
+    return None
+
+
+def _scalar_suffix(t: ScalarType) -> str:
+    if t.kind == "bool":
+        return ".pred"
+    if t.kind == "float":
+        return f".f{t.bits}"
+    return f".{'s' if t.signed else 'u'}{t.bits}"
 
 
 VOID = ScalarType("void", "void", 0)
@@ -156,7 +174,7 @@ class PointerType:
     signed = False
 
     def np_dtype(self) -> np.dtype:
-        return np.dtype(np.uint64)
+        return _POINTER_DTYPE
 
     def ptx_suffix(self) -> str:
         return ".u64"
@@ -164,6 +182,8 @@ class PointerType:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.pointee}*"
 
+
+_POINTER_DTYPE = np.dtype(np.uint64)
 
 CType = object  # ScalarType | PointerType; kept loose for 3.9 compat
 

@@ -110,6 +110,9 @@ class ExecutionContext:
             from repro.gpupf.cache import KernelCache
             kernel_cache = KernelCache()
         self.kernel_cache = kernel_cache
+        #: The kernel cache's stats when this context was built; see
+        #: :meth:`metrics_snapshot`.
+        self._kernel_cache_base = kernel_cache.stats()
         self.injector: Optional[FaultInjector] = injector
         #: (id(kernel_ir), device.name) -> KernelPlan (see executor).
         self.plan_cache: Dict = {}
@@ -263,18 +266,22 @@ class ExecutionContext:
     def metrics_snapshot(self) -> Dict[str, object]:
         """The registry snapshot plus the kernel cache, one taxonomy.
 
-        Folds the kernel cache's stats (``cache.kernel_hits`` ...)
-        into :meth:`MetricsRegistry.snapshot`, whose counters already
-        hold the plan/gang/trace counts (``cache.plan_hits`` ...), so
-        one dict answers every "how many" question about this context.
-        A kernel cache shared between contexts (a harness run's inline
-        cells) reports all of its traffic, not this context's share.
+        Folds this context's kernel-cache traffic (``cache.kernel_hits``
+        ...) into :meth:`MetricsRegistry.snapshot`, whose counters
+        already hold the plan/gang/trace counts (``cache.plan_hits``
+        ...), so one dict answers every "how many" question about this
+        context.  The kernel counts are deltas from the cache's stats
+        when the context was built, so contexts that take turns with
+        one cache (a harness run's inline cells) each report their own
+        lookups.
         """
         snap = self.metrics.snapshot()
         counters = snap["counters"]
+        base = self._kernel_cache_base
         for key, value in self.kernel_cache.stats().items():
             counters[f"cache.kernel_{key}"] = \
-                counters.get(f"cache.kernel_{key}", 0) + value
+                counters.get(f"cache.kernel_{key}", 0) + value \
+                - base.get(key, 0)
         return snap
 
     # -- activation ------------------------------------------------------

@@ -266,6 +266,22 @@ class TestPipelineTracing:
             assert sum(children[n].duration for n in stages) \
                 <= nvcc_span.duration
 
+    def test_optimize_span_splits_into_passes(self):
+        ctx = ExecutionContext(name="obs-passes")
+        pipe = build_traced_pipeline(ctx)
+        pipe.run(1)
+        spans = ctx.tracer.spans
+        optimizes = [s for s in spans if s.name == "optimize"]
+        assert optimizes
+        o3 = ["constprop", "dce", "strength", "magicdiv", "cse",
+              "scalarize", "constprop", "dce", "cse", "dce", "renumber",
+              "regalloc"]
+        for opt in optimizes:
+            children = [s for s in spans if s.parent == opt.sid]
+            assert [s.name for s in children] == o3
+            assert all(s.cat == "kernelc" for s in children)
+            assert sum(s.duration for s in children) <= opt.duration
+
     def test_launch_spans_carry_profiles(self):
         ctx = ExecutionContext(name="obs-prof")
         pipe = build_traced_pipeline(ctx)

@@ -115,6 +115,17 @@ class TestCompileOncePerRun:
         gc.collect()
         assert all(ref() is None for ref in modules)
 
+    def test_traced_cells_report_their_own_kernel_lookups(self):
+        # The shared cache's running totals would read (0,1), (0,2),
+        # (1,2), (2,2); each cell's snapshot counts its own lookup.
+        problem, axes = APP_GRIDS["backprojection"]
+        sweeper = harness_sweep("backprojection", problem, axes, seed=11,
+                                memory_bytes=8 << 20, trace=True)
+        counts = [(r.metrics["counters"]["cache.kernel_hits"],
+                   r.metrics["counters"]["cache.kernel_misses"])
+                  for r in sweeper.records]
+        assert counts == [(0, 1), (0, 1), (1, 0), (1, 0)]
+
 
 class TestProcessPoolErgonomics:
     def test_closure_gets_actionable_error(self):
