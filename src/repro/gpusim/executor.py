@@ -122,11 +122,16 @@ class KernelPlan:
         self.ipdom = cfg.ipdom_instr()
         self._reg_index: Dict[Reg, int] = {}
         self._reg_dtypes: List[np.dtype] = []
-        # Read-only immediate lane arrays, one per (dtype, value); a
-        # non-int value keys by repr so 0.0 and -0.0 stay apart.
-        self._consts: Dict[Tuple, np.ndarray] = {}
+        # Operand descriptors, shared by every instruction that reads
+        # the same register or immediate the same way.  A register's
+        # key is its descriptor; an immediate's is ("c", dtype, value),
+        # a non-int value keyed by repr so 0.0 and -0.0 stay apart.
+        self._operands: Dict[Tuple, Tuple] = {}
         self.instrs: List[PlannedInstr] = [
             self._plan(i) for i in cfg.instrs]
+        # Only planning reads these; cached plans live as long as their
+        # kernels, so they are not kept.
+        del self._reg_index, self._operands
         self.n_regs = len(self._reg_dtypes)
         self.n = len(self.instrs)
         # Gang prototypes (repro.gpusim.engine): per-(block_dim,
@@ -176,16 +181,19 @@ class KernelPlan:
             have = operand.ctype.np_dtype()
             cast = want_dtype if (want_dtype is not None
                                   and have != want_dtype) else None
-            return ("r", idx, cast)
+            desc = ("r", idx, cast)
+            return self._operands.setdefault(desc, desc)
         if isinstance(operand, Imm):
             dtype = want_dtype or operand.ctype.np_dtype()
             value = operand.value
-            key = (dtype, value if value.__class__ is int else repr(value))
-            arr = self._consts.get(key)
-            if arr is None:
-                arr = self._consts[key] = np.full(WARP, value, dtype=dtype)
+            key = ("c", dtype,
+                   value if value.__class__ is int else repr(value))
+            desc = self._operands.get(key)
+            if desc is None:
+                arr = np.full(WARP, value, dtype=dtype)
                 arr.flags.writeable = False
-            return ("c", arr, None)
+                desc = self._operands[key] = ("c", arr, None)
+            return desc
         if isinstance(operand, Special):
             return ("s", operand.name, want_dtype)
         raise SimError(f"bad operand {operand!r}")

@@ -39,8 +39,16 @@ class Reg:
     """A virtual register, equal only to itself (see the module
     docstring).  ``name`` is unique within a kernel."""
 
+    # Compiled modules keep every register of every kernel they hold.
+    __slots__ = ("name", "ctype")
+
     name: str
     ctype: object
+
+    def __reduce__(self):
+        # Frozen slots cannot be set by unpickling's setattr; pickle
+        # memoizes the rebuilt object, so identity still round-trips.
+        return Reg, (self.name, self.ctype)
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -339,7 +347,11 @@ def renumber(kernel: IRKernel) -> None:
         if instr.dst is not None:
             instr.dst = remap(instr.dst)
         if instr.srcs:
-            instr.srcs = [remap(s) if isinstance(s, Reg) else s
-                          for s in instr.srcs]
+            # A copy, not a comprehension: exact-size lists stay small
+            # in the modules a cache keeps.
+            srcs = instr.srcs = list(instr.srcs)
+            for j, s in enumerate(srcs):
+                if isinstance(s, Reg):
+                    srcs[j] = remap(s)
         if instr.pred is not None:
             instr.pred = remap(instr.pred)
