@@ -45,7 +45,7 @@ from repro.kernelc.compiler import CompiledModule, nvcc
 #: On-disk entry layout version.  Bump whenever the pickled module
 #: graph changes shape; stale files then recompile instead of
 #: unpickling garbage into the running process.
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 def cache_key(source: str, defines: Optional[Mapping[str, object]],

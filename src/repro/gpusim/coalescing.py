@@ -65,18 +65,20 @@ _SENTINEL = np.iinfo(np.int64).max
 
 
 def _row_distinct(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Distinct masked values per row of a 2D array (sort + compare)."""
+    """Distinct masked values per row of a 2D array (sort + compare).
+
+    Masked-off lanes sort last as one sentinel run, so a row holds
+    ``1 + changes`` runs, minus one when that run is present.
+    """
     v = np.where(mask, values, _SENTINEL)
     v.sort(axis=1)
-    uniq = np.ones(v.shape, bool)
-    uniq[:, 1:] = v[:, 1:] != v[:, :-1]
-    uniq &= v != _SENTINEL
-    return uniq.sum(axis=1).astype(np.int64)
+    changes = np.add.reduce(v[:, 1:] != v[:, :-1], axis=1, dtype=np.int64)
+    return changes + (v[:, -1] != _SENTINEL)
 
 
 def global_transactions_batch(addrs: np.ndarray, mask: np.ndarray,
-                              itemsize: int,
-                              device: DeviceSpec) -> np.ndarray:
+                              itemsize: int, device: DeviceSpec,
+                              aligned: bool = False) -> np.ndarray:
     """Per-member DRAM transactions for a gang of warp accesses.
 
     The batched-engine form of :func:`global_transactions`: *addrs*
@@ -84,13 +86,20 @@ def global_transactions_batch(addrs: np.ndarray, mask: np.ndarray,
     the result is the ``(M,)`` vector of transaction counts the scalar
     oracle would return row by row.  Both compute-capability rules are
     evaluated with row-wise sorts — no Python loop over members.
+
+    ``aligned=True`` promises every active address is a multiple of
+    *itemsize*.  Every segment size is a multiple of every item size,
+    so no access then straddles a segment and only the first byte's
+    segment is counted.
     """
-    a = addrs.astype(np.int64)
+    a = addrs.astype(np.int64, copy=False)
     segment = device.coalesce_segment_bytes(itemsize)
+    straddles = itemsize > 1 and not (aligned
+                                      and segment % itemsize == 0)
     if device.caps.full_warp_coalescing:
         # CC 2.x+: distinct cache lines per full warp.
         lines = a // segment
-        if itemsize > 1:
+        if straddles:
             lines = np.concatenate(
                 [lines, (a + itemsize - 1) // segment], axis=1)
             mask = np.concatenate([mask, mask], axis=1)
@@ -102,7 +111,7 @@ def global_transactions_batch(addrs: np.ndarray, mask: np.ndarray,
         half = slice(lo, hi)
         segs = a[:, half] // segment
         m = mask[:, half]
-        if itemsize > 1:
+        if straddles:
             segs = np.concatenate(
                 [segs, (a[:, half] + itemsize - 1) // segment], axis=1)
             m = np.concatenate([m, m], axis=1)

@@ -201,12 +201,14 @@ class GPU:
                 across the grid run, and timing is extrapolated.
             sample_blocks: number of blocks to execute when not
                 functional.
-            engine: ``"batched"`` gangs blocks through the wide
-                interpreter (the default), ``"serial"`` runs one
-                :class:`BlockExecutor` per block (the oracle),
-                ``"traced"`` replays compiled gang traces, ``None`` /
-                ``"auto"`` uses the owning context's ``engine``.
-                Both produce bit-identical memory, stats and timing.
+            engine: ``"batched"`` (the default) runs every launch,
+                single-block ones included, on the gang interpreter of
+                :mod:`repro.gpusim.engine`; ``"traced"`` adds compiled
+                gang traces on top of it; ``"serial"`` runs one
+                :class:`BlockExecutor` per block, the test oracle the
+                other engines are checked against; ``None`` /
+                ``"auto"`` uses the owning context's ``engine``.  All
+                produce bit-identical memory, stats and timing.
 
         When the owning context is tracing, the launch records a
         ``launch:<kernel>`` span (with the engine's ``gang:*`` child
@@ -296,7 +298,7 @@ class GPU:
         if engine == "traced" and injector is None:
             trace_counts = {"hits": 0, "misses": 0, "records": 0,
                             "deopts": 0, "aborts": 0}
-        if engine in ("batched", "traced") and len(indices) > 1:
+        if engine != "serial":
             try:
                 stats = run_blocks_batched(
                     kernel.ir, self.spec, self.gmem, cmem, arg_map,

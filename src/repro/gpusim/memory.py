@@ -50,7 +50,7 @@ class GlobalMemory:
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
         self._cursor = 0
-        self._views: Dict[str, np.ndarray] = {}
+        self._views: Dict[object, np.ndarray] = {}
         self.allocations: Dict[int, int] = {}
         #: Armed by :meth:`begin_epoch`; the engines consult this
         #: before every global store/atomic, so ``None`` keeps the
@@ -236,11 +236,15 @@ class GlobalMemory:
         return self.data[offset : offset + nbytes].view(dtype).copy()
 
     def view(self, dtype) -> np.ndarray:
-        """A typed full-buffer view for gather/scatter lane access."""
-        key = np.dtype(dtype).str
-        if key not in self._views:
-            self._views[key] = self.data.view(dtype)
-        return self._views[key]
+        """A typed full-buffer view for gather/scatter lane access.
+
+        Memoized by the *dtype* argument itself: two spellings of one
+        dtype just hold two identical views.
+        """
+        view = self._views.get(dtype)
+        if view is None:
+            view = self._views[dtype] = self.data.view(dtype)
+        return view
 
     def element_index(self, addrs: np.ndarray, itemsize: int,
                       mask: np.ndarray) -> np.ndarray:
@@ -270,13 +274,13 @@ class FlatMemory:
         self.size = size
         self.label = label
         self.data = np.zeros(size, dtype=np.uint8)
-        self._views: Dict[str, np.ndarray] = {}
+        self._views: Dict[object, np.ndarray] = {}
 
     def view(self, dtype) -> np.ndarray:
-        key = np.dtype(dtype).str
-        if key not in self._views:
-            self._views[key] = self.data.view(dtype)
-        return self._views[key]
+        view = self._views.get(dtype)
+        if view is None:
+            view = self._views[dtype] = self.data.view(dtype)
+        return view
 
     def write(self, offset: int, array: np.ndarray) -> None:
         raw = np.ascontiguousarray(array).view(np.uint8).reshape(-1)

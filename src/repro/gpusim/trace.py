@@ -37,8 +37,9 @@ How it works
     stalls are *statically* simulated at compile time — the
     ``outstanding`` dict is deterministic given the instruction
     stream — and emitted as plain counter increments.  Per-instruction
-    ``issue_cycles`` additions are kept in original order so the
-    float64 chains match the interpreter bit for bit.
+    ``issue_cycles`` additions join the warp's queue of uniform costs
+    (``w._pend``) in original order, so the float64 chains match the
+    interpreter bit for bit.
   - ``BRA``: a guard.  It re-evaluates the predicate and checks every
     member still falls in the *recorded* branch class; on agreement it
     applies the branch (pushing taken/fall entries for a divergent
@@ -763,14 +764,14 @@ class _Compiler:
             return
         lines = self.pending
         if self.pend_instr:
-            lines.append(f"w.instructions += {self.pend_instr}")
+            lines.append(f"w._npend += {self.pend_instr}")
         name = f"_seg{self.nseg}"
         body = "\n    ".join(lines)
         src = (f"def {name}(w, mask):\n"
                f"    R = w.regs\n"
                f"    MW = (w.M, {WARP})\n"
                f"    WV = ({WARP},)\n"
-               f"    IC = w.issue_cycles\n"
+               f"    IC = w._pend\n"
                f"    {body}\n")
         code = compile(src, f"<gangtrace:{name}>", "exec")
         loc: Dict[str, object] = {}
@@ -1074,7 +1075,7 @@ class _Compiler:
 
     def _arith(self, pc: int, p, covers: bool) -> None:
         if p.cost != 0.0:
-            self.pending.append(f"IC += {p.cost!r}")
+            self.pending.append(f"IC.append({p.cost!r})")
         op = p.op
         srcs = p.srcs
 
@@ -1167,7 +1168,7 @@ class _Compiler:
         p = self.instrs[pc]
         self._score_emit(p)
         if p.cost != 0.0:
-            self.pending.append(f"IC += {p.cost!r}")
+            self.pending.append(f"IC.append({p.cost!r})")
         self.pend_instr += 1
         self.stack[-1][1] = p.target
 
@@ -1200,7 +1201,7 @@ class _Compiler:
         # Branch-retire stats open the next segment (they must only
         # apply once the guard has passed).
         if p.cost != 0.0:
-            self.pending.append(f"IC += {p.cost!r}")
+            self.pending.append(f"IC.append({p.cost!r})")
         self.pend_instr += 1
         if kind == "div":
             self.pending.append("w.divergent_branches += 1")

@@ -37,8 +37,11 @@ class ScalarType:
         object.__setattr__(self, "_ptx_suffix", _scalar_suffix(self))
 
     def __reduce__(self):
-        # Pickle the fields only; unpickling recomputes the memos.
-        return ScalarType, (self.name, self.kind, self.bits, self.signed)
+        # Pickle the fields only.  Unpickling returns the canonical
+        # instance of that name, so ``t is F32``-style identity tests
+        # agree with ``==`` after any process hop or cache disk hit.
+        return _scalar_type, (self.name, self.kind, self.bits,
+                              self.signed)
 
     def __hash__(self) -> int:  # cheap: name determines identity
         return hash(self.name)
@@ -116,6 +119,21 @@ S64 = ScalarType("long long", "int", 64, True)
 U64 = ScalarType("unsigned long long", "int", 64, False)
 F32 = ScalarType("float", "float", 32)
 F64 = ScalarType("double", "float", 64)
+
+_CANONICAL = {t.name: t for t in (VOID, BOOL, S8, U8, S16, U16, S32, U32,
+                                  S64, U64, F32, F64)}
+
+
+def _scalar_type(name: str, kind: str, bits: int,
+                 signed: bool) -> ScalarType:
+    """Unpickle a :class:`ScalarType`: the canonical instance when the
+    fields name one, else a fresh type."""
+    t = _CANONICAL.get(name)
+    if t is not None and (t.kind, t.bits, t.signed) == (kind, bits,
+                                                        signed):
+        return t
+    return ScalarType(name, kind, bits, signed)
+
 
 #: Types addressable by name in kernel source.
 NAMED_TYPES = {

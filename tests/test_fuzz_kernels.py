@@ -122,3 +122,23 @@ def test_random_kernel_sampled_launch_matches(seed):
     assert_same_launch(src, (blocks,), (threads,), out, acc, ihist,
                        inp, idx, scalars=(n,), functional=False,
                        sample_blocks=3)
+
+
+@pytest.mark.parametrize("sample_blocks", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_kernel_narrow_sampled_launch_matches(seed, sample_blocks):
+    # The gang widths tuning runs: one- and two-block sampled launches.
+    src, blocks, threads, n, bins = _gen_kernel(
+        np.random.default_rng(200 + seed))
+    data = np.random.default_rng(30_000 + seed)
+    total = blocks * threads
+    inp = data.standard_normal(total).astype(np.float32)
+    idx = data.integers(0, 1000, total).astype(np.int32)
+    out = np.zeros(total, np.float32)
+    acc = np.zeros(bins, np.float32)
+    ihist = np.zeros(bins, np.int32)
+    results = assert_same_launch(src, (blocks,), (threads,), out, acc,
+                                 ihist, inp, idx, scalars=(n,),
+                                 functional=False,
+                                 sample_blocks=sample_blocks)
+    assert results["batched"][1].blocks_executed == sample_blocks
