@@ -152,6 +152,10 @@ class RunResult:
     #: service.
     worker: str = ""
     attempts: int = 1
+    #: Serve bookkeeping: the worker's warm-cache evictions since its
+    #: previous reply (``kernel_evictions`` / ``plan_evictions``).
+    #: Empty outside the service.
+    evictions: Dict[str, int] = field(default_factory=dict)
     #: Host wall-clock seconds spent inside the evaluation (as opposed
     #: to ``seconds``, the *simulated* kernel time) — what the serve
     #: supervisor's latency histograms and span grafting need.

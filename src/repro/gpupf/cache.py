@@ -26,6 +26,14 @@ Robustness properties:
   (renamed to ``<key>.mod.corrupt``) after its failed unpickle, counted
   in the ``corrupt`` stat, and never re-read — the entry is recompiled
   and rewritten in place.
+* **Bounded.**  The memory layer holds at most :attr:`MAX_MODULES`
+  modules in least-recently-used order: a hit makes its key the most
+  recent, and an insert past the bound evicts the least recent key
+  with no compile in flight (counted in the ``evictions`` stat).
+  Compiled modules are acyclic, so an evicted module no other caller
+  holds is freed at once, and the launch plans of its kernels with it
+  (:func:`repro.gpusim.executor.plan_for`).  The disk layer is not
+  bounded.
 * **Fault-injectable.**  The ``cache.corrupt`` fault site corrupts the
   bytes read from disk, exercising the quarantine path deterministically
   (see :mod:`repro.faults`).
@@ -37,6 +45,7 @@ import hashlib
 import os
 import pickle
 import threading
+from collections import OrderedDict
 from typing import Dict, Mapping, Optional
 
 from repro.faults import hooks as fault_hooks
@@ -45,7 +54,7 @@ from repro.kernelc.compiler import CompiledModule, nvcc
 #: On-disk entry layout version.  Bump whenever the pickled module
 #: graph changes shape; stale files then recompile instead of
 #: unpickling garbage into the running process.
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 def cache_key(source: str, defines: Optional[Mapping[str, object]],
@@ -68,9 +77,18 @@ class KernelCache:
     #: crashed latch holder cannot wedge other requests forever.
     LATCH_TIMEOUT = 30.0
 
+    #: Bound on the modules the memory layer keeps.  A module pins its
+    #: IR and its kernels' launch plans, about 0.9 MB per cold serve
+    #: request, so an unbounded warm worker grows with its history.
+    #: Sized above the warm working sets: BENCH_serve cycles 3 TM
+    #: configs, perfbench's serve-warm pool 9 (app, config) pairs, and
+    #: one tuning harness call compiles fewer than 31 programs.
+    MAX_MODULES = 64
+
     def __init__(self, disk_dir: Optional[str] = None,
                  latch_timeout: Optional[float] = None):
-        self._memory: Dict[str, CompiledModule] = {}
+        #: key -> module, least recently used first.
+        self._memory: "OrderedDict[str, CompiledModule]" = OrderedDict()
         self._lock = threading.RLock()
         self._in_flight: Dict[str, threading.Event] = {}
         self.disk_dir = disk_dir
@@ -80,6 +98,7 @@ class KernelCache:
         self.misses = 0
         self.corrupt = 0
         self.latch_timeouts = 0
+        self.evictions = 0
         if disk_dir:
             os.makedirs(disk_dir, exist_ok=True)
 
@@ -102,6 +121,7 @@ class KernelCache:
             with self._lock:
                 module = self._memory.get(key)
                 if module is not None:
+                    self._memory.move_to_end(key)
                     self.hits += 1
                     if tracer is not None:
                         tracer.event("cache.hit", "cache",
@@ -129,7 +149,7 @@ class KernelCache:
             module = self._load_from_disk(key)
             if module is not None:
                 with self._lock:
-                    self._memory[key] = module
+                    self._insert(key, module)
                     self.hits += 1
                 if tracer is not None:
                     tracer.event("cache.disk_hit", "cache",
@@ -142,7 +162,7 @@ class KernelCache:
             module = nvcc(source, defines=defines, arch=arch,
                           opt_level=opt_level, headers=headers)
             with self._lock:
-                self._memory[key] = module
+                self._insert(key, module)
             self._store_to_disk(key, module)
             return module
         finally:
@@ -152,6 +172,21 @@ class KernelCache:
                 if self._in_flight.get(key) is latch:
                     del self._in_flight[key]
             latch.set()
+
+    def _insert(self, key: str, module: CompiledModule) -> None:
+        """Store *key* as the most recent entry, then evict past the
+        bound.  Caller holds the lock and leads *key*'s compile, so
+        *key* itself is never the victim."""
+        self._memory[key] = module
+        self._memory.move_to_end(key)
+        excess = len(self._memory) - self.MAX_MODULES
+        if excess <= 0:
+            return
+        victims = [k for k in self._memory
+                   if k not in self._in_flight][:excess]
+        for victim in victims:
+            del self._memory[victim]
+        self.evictions += len(victims)
 
     def _note_latch_timeout(self, key: str) -> None:
         """Charge one latch takeover to the current context's metrics."""
@@ -224,11 +259,13 @@ class KernelCache:
     # -- observability -------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """hits / misses / corrupt / latch_timeouts, read atomically."""
+        """hits / misses / corrupt / latch_timeouts / evictions, read
+        atomically."""
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "corrupt": self.corrupt,
-                    "latch_timeouts": self.latch_timeouts}
+                    "latch_timeouts": self.latch_timeouts,
+                    "evictions": self.evictions}
 
     def clear(self) -> None:
         with self._lock:
@@ -237,3 +274,4 @@ class KernelCache:
             self.misses = 0
             self.corrupt = 0
             self.latch_timeouts = 0
+            self.evictions = 0

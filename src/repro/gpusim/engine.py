@@ -84,6 +84,12 @@ from repro.gpusim import trace as gang_trace
 #: Python overhead amortized over many blocks.
 DEFAULT_BATCH_BLOCKS = 128
 
+
+def batch_width() -> int:
+    """Blocks per gang batch: ``REPRO_SIM_BATCH``, else the default."""
+    return max(1, int(os.environ.get("REPRO_SIM_BATCH",
+                                     DEFAULT_BATCH_BLOCKS)))
+
 _LANE_IDS = np.arange(WARP, dtype=np.int64)
 _CTAID_KEYS = ("ctaid.x", "ctaid.y", "ctaid.z")
 #: Sorts past every real word/address in the row-distinct counts.
@@ -147,10 +153,8 @@ def run_blocks_batched(kernel: IRKernel, device: DeviceSpec,
         ctx = current_context()
     if plan is None:
         plan = KernelPlan(kernel, device)
-    if batch_blocks is None:
-        batch_blocks = int(os.environ.get("REPRO_SIM_BATCH",
-                                          DEFAULT_BATCH_BLOCKS))
-    batch_blocks = max(1, batch_blocks)
+    batch_blocks = batch_width() if batch_blocks is None \
+        else max(1, batch_blocks)
     stats: List[BlockStats] = []
     injector = ctx.injector
     tracer = ctx.tracer

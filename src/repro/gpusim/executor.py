@@ -312,13 +312,14 @@ def plan_for(kernel: IRKernel, device: DeviceSpec,
 
 
 def _evict_plan(ctx_ref, key) -> None:
-    """Finalizer of one plan-cache entry.  It reaches the context
-    through a weakref: IR shared through a run-wide kernel cache
-    outlives the cell contexts that planned it, and must not pin their
-    plans, gang prototypes and traces."""
+    """Finalizer of one plan-cache entry, counted in
+    ``cache.plan_evictions``.  It reaches the context through a
+    weakref: IR shared through a run-wide kernel cache outlives the
+    cell contexts that planned it, and must not pin their plans, gang
+    prototypes and traces."""
     ctx = ctx_ref()
-    if ctx is not None:
-        ctx.plan_cache.pop(key, None)
+    if ctx is not None and ctx.plan_cache.pop(key, None) is not None:
+        ctx.metrics.inc("cache.plan_evictions")
 
 
 def clear_plan_cache(ctx=None) -> None:

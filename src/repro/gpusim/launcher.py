@@ -30,6 +30,7 @@ from repro.gpusim.occupancy import Occupancy, occupancy
 from repro.gpusim.timing import Timing, kernel_timing
 from repro.kernelc import typesys as T
 from repro.kernelc.compiler import CompiledKernel, CompiledModule
+from repro.kernelc.ir import IRModule
 from repro.obs.profile import LaunchProfile
 
 Dim = Union[int, Tuple[int, ...]]
@@ -136,7 +137,7 @@ class GPU:
         decl = module.ir.const_globals.get(name)
         if decl is None:
             raise SimError(f"module has no constant symbol {name!r}")
-        cmem = self._const_mem(module)
+        cmem = self._const_mem(module.ir)
         raw = np.ascontiguousarray(array)
         if raw.nbytes > decl.nbytes:
             raise SimError(
@@ -163,11 +164,11 @@ class GPU:
             raise SimError(f"bad address mode {address!r}")
         if filter not in ("point", "linear"):
             raise SimError(f"bad filter mode {filter!r}")
-        self._textures[(id(module), name)] = TextureBinding(
+        self._textures[(id(module.ir), name)] = TextureBinding(
             addr=int(addr), width=int(width), height=int(height),
             np_dtype=np.dtype(dtype), address=address, filter=filter)
 
-    def _const_mem(self, module: CompiledModule) -> FlatMemory:
+    def _const_mem(self, module: IRModule) -> FlatMemory:
         key = id(module)
         if key not in self._const:
             if module.const_bytes > self.spec.const_bytes:
@@ -276,7 +277,7 @@ class GPU:
         smem_per_block = kernel.shared_bytes + dynamic_smem
         occ = occupancy(self.spec, block3[0] * block3[1] * block3[2],
                         kernel.reg_count, smem_per_block)
-        cmem = self._const_mem(kernel.module)
+        cmem = self._const_mem(kernel.unit)
         plan = plan_for(kernel.ir, self.spec, ctx=self.ctx)
         total_blocks = grid3[0] * grid3[1] * grid3[2]
         if total_blocks == 0:
@@ -285,7 +286,7 @@ class GPU:
                                  sample_blocks, ctx=self.ctx)
         textures = {name: binding
                     for (mod_id, name), binding in self._textures.items()
-                    if mod_id == id(kernel.module)}
+                    if mod_id == id(kernel.unit)}
         injector = self.ctx.injector
         if injector is not None:
             # Fault site: the driver rejects the launch outright

@@ -187,7 +187,7 @@ class _FuncLowering:
                     probe, actual = self.expr(init)
                     if T.is_pointer(actual) and \
                             actual.space != ctype.space:
-                        ctype = T.PointerType(ctype.pointee, actual.space)
+                        ctype = T.pointer_type(ctype.pointee, actual.space)
                     init_op = self.coerce(probe, actual, ctype, node.line)
                 else:
                     init_op = self.expr_as(init, ctype)
@@ -553,7 +553,7 @@ class _FuncLowering:
         if binding is None:
             const = self.gen.const_globals.get(node.name)
             if const is not None:
-                ptr_t = T.PointerType(const.ctype, "const")
+                ptr_t = T.pointer_type(const.ctype, "const")
                 return Imm(const.offset, ptr_t), ptr_t
             raise CodegenError(
                 f"line {node.line}: unknown identifier {node.name!r} — "
@@ -578,7 +578,7 @@ class _FuncLowering:
             return reg, param.ctype
         if kind == "array":
             info: ArrayInfo = binding[1]
-            ptr_t = T.PointerType(info.elem, info.space)
+            ptr_t = T.pointer_type(info.elem, info.space)
             return Imm(info.base, ptr_t), ptr_t
         raise CodegenError(f"line {node.line}: bad binding for "
                            f"{node.name!r}")
@@ -638,7 +638,7 @@ class _FuncLowering:
         if isinstance(node, A.Index):
             ptr, elem_t, space = self._index_address(node)
             return ptr, (ptr.ctype if isinstance(ptr, (Imm, Reg))
-                         else T.PointerType(elem_t, space))
+                         else T.pointer_type(elem_t, space))
         if isinstance(node, A.Ident):
             op, ctype = self.expr(node)
             if T.is_pointer(ctype):

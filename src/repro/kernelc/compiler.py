@@ -39,11 +39,18 @@ class CompileError(Exception):
 
 @dataclass
 class CompiledKernel:
-    """One compiled kernel plus the resource metadata launches need."""
+    """One compiled kernel plus the resource metadata launches need.
+
+    ``unit`` is the translation unit's IR (constant layout, textures),
+    not its :class:`CompiledModule`: the module holds its kernels, and
+    a back-reference would make every module a reference cycle that
+    only the cyclic collector frees.  Acyclic, a module the kernel
+    cache evicts dies by refcount, and its launch plans with it.
+    """
 
     name: str
     ir: IRKernel
-    module: "CompiledModule"
+    unit: IRModule
 
     @property
     def reg_count(self) -> int:
@@ -185,5 +192,5 @@ def _nvcc_impl(source, defines, arch, opt_level, headers, unroll,
                             opt_level=opt_level,
                             compile_seconds=elapsed)
     for name, kernel in ir_module.kernels.items():
-        module.kernels[name] = CompiledKernel(name, kernel, module)
+        module.kernels[name] = CompiledKernel(name, kernel, ir_module)
     return module

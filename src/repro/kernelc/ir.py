@@ -309,24 +309,32 @@ class IRModule:
         return "\n".join(lines)
 
 
+def _reg_prefix(ctype) -> str:
+    """PTX register-name prefix of a *ctype* register."""
+    if T.is_pointer(ctype) or ctype.kind == "int" and ctype.bits == 64:
+        return "rd"
+    if ctype.kind == "bool":
+        return "p"
+    if ctype.kind == "float":
+        return "fd" if ctype.bits == 64 else "f"
+    return "r"
+
+
+#: ctype -> :func:`_reg_prefix`, asked once per register made.
+_REG_PREFIX: Dict[object, str] = {}
+
+
 class RegFactory:
     """Allocates uniquely named virtual registers per kernel."""
-
-    _PREFIX = {"pred": "p", "float": "f", "int": "r", "ptr": "rd"}
 
     def __init__(self) -> None:
         self._counter = 0
 
     def new(self, ctype) -> Reg:
         self._counter += 1
-        kind = ctype.kind if not T.is_pointer(ctype) else "ptr"
-        if kind == "bool":
-            kind = "pred"
-        prefix = self._PREFIX.get(kind, "r")
-        if kind == "int" and ctype.bits == 64:
-            prefix = "rd"
-        if kind == "float" and ctype.bits == 64:
-            prefix = "fd"
+        prefix = _REG_PREFIX.get(ctype)
+        if prefix is None:
+            prefix = _REG_PREFIX[ctype] = _reg_prefix(ctype)
         return Reg(f"{prefix}{self._counter}", ctype)
 
 

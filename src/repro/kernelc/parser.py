@@ -169,7 +169,7 @@ class Parser:
         name = self.ts.expect("id").text
         ctype = base
         for _ in range(stars):
-            ctype = T.PointerType(ctype, ptr_space)
+            ctype = T.pointer_type(ctype, ptr_space)
         if self.ts.peek().is_punct("("):
             return self._parse_function(name, ctype, quals, line)
         # Module-scope declaration (constant memory array, usually).
@@ -271,7 +271,7 @@ class Parser:
             const = True
         ctype = base
         while self.ts.accept("punct", "*"):
-            ctype = T.PointerType(ctype, "global")
+            ctype = T.pointer_type(ctype, "global")
             if self.ts.accept("kw", "const"):
                 const = True
         restrict = bool(self.ts.accept("kw", "__restrict__"))
@@ -386,7 +386,7 @@ class Parser:
             while self.ts.accept("punct", "*"):
                 # A pointer variable points to global memory unless its
                 # initializer says otherwise (handled during lowering).
-                ctype = T.PointerType(ctype, "global")
+                ctype = T.pointer_type(ctype, "global")
             name = self.ts.expect("id").text
             array_size = None
             if self.ts.accept("punct", "["):
@@ -529,7 +529,7 @@ class Parser:
             self.ts.accept("kw", "const")
             ctype = base
             while self.ts.accept("punct", "*"):
-                ctype = T.PointerType(ctype, "global")
+                ctype = T.pointer_type(ctype, "global")
             self.ts.expect("punct", ")")
             operand = self._parse_unary()
             return A.Cast(line=tok.line, ctype=ctype, operand=operand)
@@ -540,7 +540,7 @@ class Parser:
                 base = self._parse_type_name()
                 ctype = base
                 while self.ts.accept("punct", "*"):
-                    ctype = T.PointerType(ctype, "global")
+                    ctype = T.pointer_type(ctype, "global")
                 size = ctype.size
             else:
                 self._parse_expr()

@@ -152,11 +152,17 @@ class PointerType:
     """A pointer to a scalar type in a particular memory space.
 
     Memory spaces follow CUDA: ``global`` (default for kernel pointer
-    arguments), ``shared``, ``const``, ``local``.
+    arguments), ``shared``, ``const``, ``local``.  Build one with
+    :func:`pointer_type`, which returns one canonical instance per
+    (pointee, space), so compiled modules share their pointer types.
     """
 
     pointee: ScalarType
     space: str = "global"
+
+    def __reduce__(self):
+        # Like ScalarType: unpickling returns the canonical instance.
+        return pointer_type, (self.pointee, self.space)
 
     def __hash__(self) -> int:
         return hash((self.pointee.name, self.space))
@@ -202,6 +208,17 @@ class PointerType:
 
 
 _POINTER_DTYPE = np.dtype(np.uint64)
+
+_POINTERS = {}
+
+
+def pointer_type(pointee: ScalarType, space: str = "global") -> PointerType:
+    """The canonical :class:`PointerType` to *pointee* in *space*."""
+    key = (pointee, space)
+    t = _POINTERS.get(key)
+    if t is None:
+        t = _POINTERS.setdefault(key, PointerType(pointee, space))
+    return t
 
 CType = object  # ScalarType | PointerType; kept loose for 3.9 compat
 

@@ -44,7 +44,10 @@ class MetricsRegistry:
     """Thread-safe registry of named counters/gauges/histograms."""
 
     def __init__(self):
-        self._lock = threading.Lock()
+        # Reentrant: a garbage collection that runs while this thread
+        # holds the lock may call a finalizer that counts here
+        # (:func:`repro.gpusim.executor._evict_plan`).
+        self._lock = threading.RLock()
         self._counters: Counter = Counter()
         self._gauges: Dict[str, float] = {}
         self._hists: Dict[str, LatencyHistogram] = {}

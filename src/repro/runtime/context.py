@@ -124,6 +124,7 @@ class ExecutionContext:
         self.metrics = MetricsRegistry()
         for key in CACHE_COUNTERS:
             self.metrics.inc(f"cache.{key}", 0)
+        self.metrics.inc("cache.plan_evictions", 0)
         #: Bounded flight recorder of structured events (always on,
         #: like :attr:`metrics` — recording is an O(1) deque append;
         #: see :mod:`repro.obs.events`).  Traced requests ship their
@@ -267,13 +268,14 @@ class ExecutionContext:
         """The registry snapshot plus the kernel cache, one taxonomy.
 
         Folds this context's kernel-cache traffic (``cache.kernel_hits``
-        ...) into :meth:`MetricsRegistry.snapshot`, whose counters
-        already hold the plan/gang/trace counts (``cache.plan_hits``
-        ...), so one dict answers every "how many" question about this
-        context.  The kernel counts are deltas from the cache's stats
-        when the context was built, so contexts that take turns with
-        one cache (a harness run's inline cells) each report their own
-        lookups.
+        ... ``cache.kernel_evictions``) into
+        :meth:`MetricsRegistry.snapshot`, whose counters already hold
+        the plan/gang/trace counts (``cache.plan_hits`` ...
+        ``cache.plan_evictions``), so one dict answers every "how many"
+        question about this context.  The kernel counts are deltas
+        from the cache's stats when the context was built, so contexts
+        that take turns with one cache (a harness run's inline cells)
+        each report their own lookups.
         """
         snap = self.metrics.snapshot()
         counters = snap["counters"]

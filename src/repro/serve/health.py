@@ -4,8 +4,10 @@
 asks for — worker liveness (pid, busy/idle, heartbeat age, restart
 counts), queue depth and shed counts, circuit-breaker state, per-client
 rows with latency quantiles and SLO breach counts, the service metrics
-snapshot, and the flight recorder — as a plain dict of scalars and
-strings so it pickles over the wire and dumps as JSON unchanged.
+snapshot (with the workers' warm-cache ``cache.kernel_evictions`` and
+``cache.plan_evictions``), and the flight recorder — as a plain dict of
+scalars and strings so it pickles over the wire and dumps as JSON
+unchanged.
 
 The report is advisory and read-mostly: it samples supervisor state
 without stopping the dispatch loop, so a field can be a tick stale.

@@ -60,8 +60,8 @@ from repro.serve.breaker import COMPILE_SITES, CircuitBreaker
 from repro.serve.errors import (ServiceDeadlineError, ServiceError,
                                 ServiceRequestError, ServiceShutdownError,
                                 ServiceWorkerError)
-from repro.serve.worker import (MSG_HEARTBEAT, MSG_READY, MSG_RESULT,
-                                worker_main)
+from repro.serve.worker import (EVICTION_COUNTERS, MSG_HEARTBEAT,
+                                MSG_READY, MSG_RESULT, worker_main)
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ class SpecializationService:
         self.config = config or ServiceConfig()
         cfg = self.config
         self.metrics = MetricsRegistry()
+        for name in EVICTION_COUNTERS:
+            self.metrics.inc(f"cache.{name}", 0)
         #: Bounded ring of typed events (see :mod:`repro.obs.events`):
         #: worker lifecycle, breaker transitions, sheds, redispatches,
         #: plus whatever traced workers ship back.  `/health` renders
@@ -437,6 +439,8 @@ class SpecializationService:
             if isinstance(payload, RunResult):
                 payload.worker = handle.id
                 payload.attempts = entry.attempts
+                for name, count in payload.evictions.items():
+                    self.metrics.inc(f"cache.{name}", count)
                 compile_faults = sum(payload.faults.get(s, 0)
                                      for s in COMPILE_SITES)
                 self.breaker.record(

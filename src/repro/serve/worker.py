@@ -17,6 +17,16 @@ per-request state (fault injector, tracer, deadline) is scoped inside
 ``run_request`` and cache hits are bit-identical to misses by
 construction.
 
+A warm worker keeps a working set, not its history: each context's
+:class:`~repro.gpupf.cache.KernelCache` holds at most ``MAX_MODULES``
+modules, and an evicted module's launch plans go with it.  Each
+RunResult reply carries the worker's ``kernel_evictions`` and
+``plan_evictions`` since its previous reply, which the supervisor sums
+into its ``cache.*`` counters for `/health`.  The worker owns its
+process's heap, so it also sets the collector's young-generation
+threshold (:data:`GC_THRESHOLD`); library calls that run in a caller's
+process never touch it.
+
 The worker also evaluates sweep grid cells (:class:`SweepCell`, from
 ``Sweeper(jobs>1)`` and ``DeviceFleet.map_grid``) with the inline
 sweep's ``_eval_config``, imported only when the first cell arrives.
@@ -31,12 +41,13 @@ by design.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.apps.harness import RunRequest, run_request
+from repro.apps.harness import RunRequest, RunResult, run_request
 from repro.gpusim import DEVICES
 from repro.runtime.context import ExecutionContext
 from repro.serve.chaos import CrashRequest, SleepRequest
@@ -45,6 +56,16 @@ from repro.serve.chaos import CrashRequest, SleepRequest
 MSG_READY = "ready"
 MSG_HEARTBEAT = "hb"
 MSG_RESULT = "result"
+
+#: The collector's thresholds in a worker process.  The young
+#: generation holds about one request's net allocations (13k objects
+#: median, 27k p90 on the serve-cold stream); at the default 700 the
+#: older generations fill fast enough to force a full collection over
+#: the warm caches about once every 11 requests.
+GC_THRESHOLD = (20_000, 10, 10)
+
+#: The warm-cache eviction counts a RunResult reply carries.
+EVICTION_COUNTERS = ("kernel_evictions", "plan_evictions")
 
 
 @dataclass(frozen=True)
@@ -88,9 +109,21 @@ def _evaluate(msg, contexts: Dict[str, ExecutionContext]):
     return run_request(request, context=ctx)
 
 
+def _eviction_totals(contexts: Dict[str, ExecutionContext]
+                     ) -> Dict[str, int]:
+    """The worker's :data:`EVICTION_COUNTERS`, summed over contexts."""
+    return {
+        "kernel_evictions": sum(ctx.kernel_cache.stats()["evictions"]
+                                for ctx in contexts.values()),
+        "plan_evictions": sum(ctx.metrics.counter("cache.plan_evictions")
+                              for ctx in contexts.values()),
+    }
+
+
 def worker_main(worker_id: str, conn,
                 heartbeat_interval: float = 0.2) -> None:
     """Process entry point: serve requests until told to stop."""
+    gc.set_threshold(*GC_THRESHOLD)
     send_lock = threading.Lock()
     stop = threading.Event()
     beat = threading.Thread(
@@ -99,6 +132,7 @@ def worker_main(worker_id: str, conn,
         name=f"{worker_id}-heartbeat", daemon=True)
     beat.start()
     contexts: Dict[str, ExecutionContext] = {}
+    reported = dict.fromkeys(EVICTION_COUNTERS, 0)
     try:
         with send_lock:
             conn.send((MSG_READY, time.monotonic()))
@@ -114,6 +148,11 @@ def worker_main(worker_id: str, conn,
             req_id = msg[1]
             try:
                 result = _evaluate(msg, contexts)
+                if isinstance(result, RunResult):
+                    totals = _eviction_totals(contexts)
+                    result.evictions = {k: totals[k] - reported[k]
+                                        for k in EVICTION_COUNTERS}
+                    reported = totals
                 reply = (MSG_RESULT, req_id, "ok", result)
             except Exception as exc:
                 reply = (MSG_RESULT, req_id, "err", exc)

@@ -19,6 +19,7 @@ from tests.helpers import KernelHarness, assert_same_launch
 from repro.gpupf.cache import KernelCache
 from repro.gpusim import (GPU, TESLA_C1060, TESLA_C2070,
                           clear_plan_cache, plan_for)
+from repro.gpusim.engine import batch_width
 from repro.kernelc import nvcc
 from repro.runtime import ExecutionContext, current_context
 from repro.tuning.sweep import SweepRecord, Sweeper, best_record
@@ -490,6 +491,12 @@ def _counter_delta(before, *keys):
     return {key: after[key] - before[key] for key in keys}
 
 
+def _gang_lookups(blocks):
+    """Prototype lookups of one launch of *blocks* blocks: one per gang
+    batch (``REPRO_SIM_BATCH`` blocks each)."""
+    return -(-blocks // batch_width())
+
+
 def test_gang_proto_cached_across_launches():
     clear_plan_cache()
     h = KernelHarness(DIVERGENT_SRC)
@@ -499,12 +506,15 @@ def test_gang_proto_cached_across_launches():
     before = current_context().cache_counters()
     for _ in range(3):
         h((4,), (64,), out, inp, n, engine="batched")
+    # The first batch builds the shape's prototype; every later batch
+    # of every launch reuses it.
+    hits = 3 * _gang_lookups(4) - 1
     assert _counter_delta(before, "gang_misses", "gang_hits") == \
-        {"gang_misses": 1, "gang_hits": 2}
+        {"gang_misses": 1, "gang_hits": hits}
     # A different launch shape builds (and caches) its own prototype.
     h((2,), (128,), np.zeros(n, np.float32), inp, n, engine="batched")
     assert _counter_delta(before, "gang_misses", "gang_hits") == \
-        {"gang_misses": 2, "gang_hits": 2}
+        {"gang_misses": 2, "gang_hits": hits + _gang_lookups(2) - 1}
     clear_plan_cache()
 
 
@@ -605,7 +615,8 @@ def test_sweeper_cache_report_attributes_reuse():
     # context is private to this sweep, so the counts are exact even
     # with other tests (or sweeps) running in the same process.
     assert report["plan_misses"] == 1 and report["plan_hits"] == 3
-    assert report["gang_misses"] == 1 and report["gang_hits"] == 3
+    assert report["gang_misses"] == 1
+    assert report["gang_hits"] == 4 * _gang_lookups(4) - 1
 
 
 def _boom_at_2(config):

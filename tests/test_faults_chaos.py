@@ -564,7 +564,7 @@ class TestHealthReport:
         assert report["faults"] == {} and report["retries"] == {}
         assert report["degraded"] == {} and report["fallbacks"] == 0
         assert set(report["cache"]) == {"hits", "misses", "corrupt",
-                                        "latch_timeouts"}
+                                        "latch_timeouts", "evictions"}
         assert report["cache"]["misses"] >= 1
         assert report["iterations"] == 1
 

@@ -140,7 +140,7 @@ class TestCache:
     def test_stats_reports_corrupt_counter(self):
         cache = KernelCache()
         assert cache.stats() == {"hits": 0, "misses": 0, "corrupt": 0,
-                                 "latch_timeouts": 0}
+                                 "latch_timeouts": 0, "evictions": 0}
 
     def test_concurrent_same_key_compiles_once(self):
         # Single-flight: 8 threads racing one key produce exactly one
@@ -205,7 +205,7 @@ class TestCache:
         cache3 = KernelCache(disk_dir=str(tmp_path))
         cache3.compile(SCALE_SRC)
         assert cache3.stats() == {"hits": 1, "misses": 0, "corrupt": 0,
-                                  "latch_timeouts": 0}
+                                  "latch_timeouts": 0, "evictions": 0}
 
     def test_legacy_version_entry_quarantined(self, gpu, tmp_path):
         import pickle

@@ -44,7 +44,7 @@ def _device_memory(ir_module, blocks, threads, arrays, scalars):
     for name, kernel in snapshot.kernels.items():
         # Occupancy needs a register count before regalloc has run.
         assign_registers(kernel)
-        module.kernels[name] = CompiledKernel(name, kernel, module)
+        module.kernels[name] = CompiledKernel(name, kernel, module.ir)
     gpu = GPU(TESLA_C2070)
     addrs = [gpu.alloc_array(a.copy()) for a in arrays]
     gpu.launch(module.kernel("k"), (blocks,), (threads,),
