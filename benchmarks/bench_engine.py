@@ -1,23 +1,11 @@
-"""Serial-vs-batched-vs-traced engine comparison on the sweep workloads.
+"""Serial-vs-batched engine comparison on the sweep workloads.
 
 Runs the Table 6.21 (template matching) and Table 6.22 (PIV) workloads
-*functionally* — every block executes — under the execution engines,
+*functionally* — every block executes — under both execution engines,
 asserts the exactness contract (bit-identical outputs and identical
 simulated kernel time, i.e. identical cycle counts), and records the
-wall-clock speedups to ``BENCH_engine.json`` at the repo root.
-
-Two comparisons share each of these wide cases:
-
-* **serial vs batched** — both timed cold, the original engine bench.
-* **batched vs traced** — the trace JIT needs a recording run before
-  replay pays off, so both sides are timed *warm* and best-of-three:
-  batched after its cold run (gang prototypes built), traced after a
-  recording warm-up run.  Both engines finish on their fourth run and
-  exactness is asserted between those equal run indices — simulated
-  timing is heap-position sensitive at the ulp level, so comparing a
-  cold run against a warm one can differ in the last float digit.
-  The per-case trace counters (hits/misses/records/deopts/aborts) for
-  the warm runs land in the JSON next to the walls.
+wall-clock speedups to ``BENCH_engine.json`` at the repo root.  The
+wide cases time each engine cold, once.
 
 The ``narrow`` cases time serial vs batched at the gang widths
 production launches run at: a ``tune``-shaped sampled backprojection
@@ -61,31 +49,8 @@ from repro.kernelc import nvcc
 from repro.runtime import current_context
 
 #: Required wall-clock advantage of the batched engine over the serial
-#: oracle on the sweep workloads (PR 6 acceptance bar), and of the
-#: traced engine over warm batched (aggregate over the traced cases).
+#: oracle on the sweep workloads (PR 6 acceptance bar).
 SPEEDUP_FLOOR = 3.0
-
-
-def _trace_counters() -> dict:
-    """The current context's trace-JIT counters, unprefixed
-    (``hits`` / ``misses`` / ``records`` / ``deopts`` / ``aborts``)."""
-    return {name[len("trace_"):]: count for name, count
-            in current_context().cache_counters().items()
-            if name.startswith("trace_")}
-
-
-def _counter_delta(before: dict, after: dict) -> dict:
-    return {k: after[k] - before.get(k, 0) for k in after}
-
-
-def _best_of(fn, *args, runs: int = 3):
-    """Best wall over *runs* timed calls (damps scheduler noise)."""
-    best = None
-    res = None
-    for _ in range(runs):
-        wall, res = timed(fn, *args)
-        best = wall if best is None else min(best, wall)
-    return best, res
 
 
 def _piv_case(problem, rb: int, threads: int,
@@ -97,19 +62,9 @@ def _piv_case(problem, rb: int, threads: int,
     # and a long-running host would reuse it from the kernel cache.
     procs = {engine: PIVProcessor(
         problem, PIVConfig(rb=rb, threads=threads, engine=engine),
-        device) for engine in ("batched", "serial", "traced")}
+        device) for engine in ("batched", "serial")}
     wall_b, res_b = timed(procs["batched"].run, img_a, img_b)
     wall_s, res_s = timed(procs["serial"].run, img_a, img_b)
-    # Warm-vs-warm JIT comparison (see the module docstring).  Both
-    # engines end on their *third* run: simulated timing is
-    # heap-position sensitive at the ulp level (allocations never
-    # reuse addresses), so exactness is asserted between equal run
-    # indices.
-    wall_bw, res_bw = _best_of(procs["batched"].run, img_a, img_b)
-    counters = _trace_counters()
-    procs["traced"].run(img_a, img_b)
-    wall_t, res_t = _best_of(procs["traced"].run, img_a, img_b)
-    counters = _counter_delta(counters, _trace_counters())
     suffix = "" if device is TESLA_C2070 else "-c1060"
     return {
         "name": f"piv-{problem.name}-rb{rb}-t{threads}{suffix}",
@@ -121,17 +76,10 @@ def _piv_case(problem, rb: int, threads: int,
         "wall_serial_s": wall_s,
         "wall_batched_s": wall_b,
         "speedup": wall_s / wall_b,
-        "wall_batched_warm_s": wall_bw,
-        "wall_traced_s": wall_t,
-        "trace_speedup": wall_bw / wall_t,
-        "trace_counters": counters,
         "sim_kernel_seconds": res_s.kernel_seconds,
         "sim_identical": res_s.kernel_seconds == res_b.kernel_seconds,
         "outputs_identical":
             res_s.scores.tobytes() == res_b.scores.tobytes(),
-        "traced_identical":
-            res_t.scores.tobytes() == res_bw.scores.tobytes()
-            and res_t.kernel_seconds == res_bw.kernel_seconds,
     }
 
 
@@ -145,15 +93,9 @@ def _tm_case(problem, tile, threads: int) -> dict:
         problem, template,
         MatchConfig(tile_w=tile_w, tile_h=tile_h, threads=threads,
                     functional=True, engine=engine),
-        TESLA_C2070) for engine in ("batched", "serial", "traced")}
+        TESLA_C2070) for engine in ("batched", "serial")}
     wall_b, res_b = timed(matchers["batched"].match, frame)
     wall_s, res_s = timed(matchers["serial"].match, frame)
-    # Warm-vs-warm JIT comparison; equal run indices, as in _piv_case.
-    wall_bw, res_bw = _best_of(matchers["batched"].match, frame)
-    counters = _trace_counters()
-    matchers["traced"].match(frame)
-    wall_t, res_t = _best_of(matchers["traced"].match, frame)
-    counters = _counter_delta(counters, _trace_counters())
     return {
         "name": f"tm-{problem.name}-{tile_w}x{tile_h}-t{threads}",
         "workload": "Table 6.21 (template matching, full-size)",
@@ -163,16 +105,9 @@ def _tm_case(problem, tile, threads: int) -> dict:
         "wall_serial_s": wall_s,
         "wall_batched_s": wall_b,
         "speedup": wall_s / wall_b,
-        "wall_batched_warm_s": wall_bw,
-        "wall_traced_s": wall_t,
-        "trace_speedup": wall_bw / wall_t,
-        "trace_counters": counters,
         "sim_kernel_seconds": res_s.kernel_seconds,
         "sim_identical": res_s.kernel_seconds == res_b.kernel_seconds,
         "outputs_identical": res_s.ncc.tobytes() == res_b.ncc.tobytes(),
-        "traced_identical":
-            res_t.ncc.tobytes() == res_bw.ncc.tobytes()
-            and res_t.kernel_seconds == res_bw.kernel_seconds,
     }
 
 
@@ -335,12 +270,9 @@ def run_engine_bench() -> dict:
     narrow = [_narrow_bp_case(), _narrow_piv_case()]
     total_s = sum(c["wall_serial_s"] for c in cases)
     total_b = sum(c["wall_batched_s"] for c in cases)
-    traced = [c for c in cases if "wall_traced_s" in c]
-    total_bw = sum(c["wall_batched_warm_s"] for c in traced)
-    total_t = sum(c["wall_traced_s"] for c in traced)
     payload = {
         "bench": "engine",
-        "engines": ["serial", "batched", "traced"],
+        "engines": ["serial", "batched"],
         "batch_blocks": DEFAULT_BATCH_BLOCKS,
         "speedup_floor": SPEEDUP_FLOOR,
         "cases": cases,
@@ -352,10 +284,6 @@ def run_engine_bench() -> dict:
             "wall_batched_s": total_b,
             "speedup": total_s / total_b,
             "min_case_speedup": min(c["speedup"] for c in cases),
-            # Warm batched vs warm traced, over the traced cases.
-            "wall_batched_warm_s": total_bw,
-            "wall_traced_s": total_t,
-            "trace_speedup": total_bw / total_t,
         },
     }
     write_bench_json("BENCH_engine.json", payload)
@@ -379,32 +307,22 @@ def test_narrow_equivalence_smoke():
 @pytest.mark.slow
 def test_engine_speedup():
     payload = run_engine_bench()
-    traced = [c for c in payload["cases"] if "wall_traced_s" in c]
-    assert traced, "no traced cases in the engine bench"
     for case in payload["cases"]:
         assert case["outputs_identical"], case["name"]
         assert case["sim_identical"], case["name"]
         assert case["speedup"] >= SPEEDUP_FLOOR, case
-    for case in traced:
-        assert case["traced_identical"], case["name"]
     for case in payload["narrow"]:
         assert case["sim_identical"], case["name"]
     assert payload["aggregate"]["speedup"] >= SPEEDUP_FLOOR
-    assert payload["aggregate"]["trace_speedup"] >= SPEEDUP_FLOOR
 
 
 if __name__ == "__main__":
     result = run_engine_bench()
     for case in result["cases"]:
-        line = (f"{case['name']:32s} serial {case['wall_serial_s']:7.2f}s"
-                f"  batched {case['wall_batched_s']:7.2f}s"
-                f"  speedup {case['speedup']:5.2f}x"
-                f"  identical={case['outputs_identical']}")
-        if "wall_traced_s" in case:
-            line += (f"  traced {case['wall_traced_s']:6.2f}s"
-                     f" ({case['trace_speedup']:4.2f}x warm,"
-                     f" identical={case['traced_identical']})")
-        print(line)
+        print(f"{case['name']:32s} serial {case['wall_serial_s']:7.2f}s"
+              f"  batched {case['wall_batched_s']:7.2f}s"
+              f"  speedup {case['speedup']:5.2f}x"
+              f"  identical={case['outputs_identical']}")
     for case in result["narrow"]:
         print(f"{case['name']:32s} serial {case['wall_serial_s']:7.4f}s"
               f"  batched {case['wall_batched_s']:7.4f}s"
@@ -412,6 +330,5 @@ if __name__ == "__main__":
               f" -> {case['host_ns_per_instr_batched']:6.0f}"
               f"  identical={case['sim_identical']}")
     agg = result["aggregate"]
-    print(f"aggregate speedup {agg['speedup']:.2f}x, "
-          f"trace speedup {agg['trace_speedup']:.2f}x "
+    print(f"aggregate speedup {agg['speedup']:.2f}x "
           f"(floor {SPEEDUP_FLOOR}x)")

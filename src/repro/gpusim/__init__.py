@@ -19,10 +19,8 @@ from repro.gpusim.engine import ENGINES, resolve_engine
 from repro.gpusim.executor import clear_plan_cache, plan_for
 from repro.gpusim.launcher import GPU, LaunchResult
 from repro.gpusim.occupancy import OccupancyError, occupancy
-from repro.gpusim.trace import GangTrace
 
 __all__ = ["DeviceSpec", "DeviceCaps", "default_caps", "DEVICES",
            "TESLA_C1060", "TESLA_C2070", "TESLA_K20", "GPU",
            "LaunchResult", "occupancy", "OccupancyError",
-           "ENGINES", "resolve_engine", "plan_for", "clear_plan_cache",
-           "GangTrace"]
+           "ENGINES", "resolve_engine", "plan_for", "clear_plan_cache"]

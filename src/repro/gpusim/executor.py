@@ -148,28 +148,6 @@ class KernelPlan:
         # on the plan so their lifetime rides the plan cache — evicted
         # together when the kernel IR dies or the cache is cleared.
         self.gang_protos: Dict[Tuple, object] = {}
-        # Compiled gang traces (repro.gpusim.trace): keyed
-        # (entry_pc, active-lane signature).  Riding the plan gives
-        # traces the same lifetime/eviction story as gang prototypes.
-        self.traces: Dict[Tuple, object] = {}
-        #: Failed recording attempts per trace key; keys that keep
-        #: aborting (member divergence every run) stop being retried.
-        self.trace_aborts: Dict[Tuple, int] = {}
-        #: Keys with a recording in flight this batch, so sibling
-        #: warps don't redundantly record the same region.
-        self.trace_pending = set()
-        #: Memoized single-row shared-memory conflict factors/indices
-        #: for the trace engine's row-uniform fast path, keyed by raw
-        #: address/mask bytes (patterns are tid-derived and recur).
-        self.shared_rows: Dict[Tuple, Tuple] = {}
-        #: Memoized whole-gang shared factors/indices for patterns no
-        #: row canonicalisation collapses (ctaid-derived addressing);
-        #: geometry functions, so they recur across launches.
-        self.shared_pats: Dict[Tuple, Tuple] = {}
-        #: Memoized global coalescing/index results keyed by 256-byte
-        #: base-relative address bytes, so per-run allocations (the
-        #: bump allocator never reuses addresses) still hit.
-        self.global_pats: Dict[Tuple, Tuple] = {}
 
     @property
     def kernel(self) -> Optional[IRKernel]:
@@ -315,8 +293,8 @@ def _evict_plan(ctx_ref, key) -> None:
     """Finalizer of one plan-cache entry, counted in
     ``cache.plan_evictions``.  It reaches the context through a
     weakref: IR shared through a run-wide kernel cache outlives the
-    cell contexts that planned it, and must not pin their plans, gang
-    prototypes and traces."""
+    cell contexts that planned it, and must not pin their plans and
+    gang prototypes."""
     ctx = ctx_ref()
     if ctx is not None and ctx.plan_cache.pop(key, None) is not None:
         ctx.metrics.inc("cache.plan_evictions")

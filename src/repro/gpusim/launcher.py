@@ -56,12 +56,6 @@ class LaunchResult:
     #: Per-launch micro-profile; populated only when the owning
     #: context is tracing (``ctx.tracer`` is not None).
     profile: Optional["LaunchProfile"] = None
-    #: Trace-JIT activity during this launch (the counts it also adds
-    #: to the owning context's ``cache.trace_*`` counters); all zero
-    #: unless the launch ran on the ``"traced"`` engine.
-    trace_hits: int = 0
-    trace_deopts: int = 0
-    trace_records: int = 0
 
     @property
     def seconds(self) -> float:
@@ -204,12 +198,11 @@ class GPU:
                 functional.
             engine: ``"batched"`` (the default) runs every launch,
                 single-block ones included, on the gang interpreter of
-                :mod:`repro.gpusim.engine`; ``"traced"`` adds compiled
-                gang traces on top of it; ``"serial"`` runs one
+                :mod:`repro.gpusim.engine`; ``"serial"`` runs one
                 :class:`BlockExecutor` per block, the test oracle the
-                other engines are checked against; ``None`` /
-                ``"auto"`` uses the owning context's ``engine``.  All
-                produce bit-identical memory, stats and timing.
+                interpreter is checked against; ``None`` / ``"auto"``
+                uses the owning context's ``engine``.  Both produce
+                bit-identical memory, stats and timing.
 
         When the owning context is tracing, the launch records a
         ``launch:<kernel>`` span (with the engine's ``gang:*`` child
@@ -248,12 +241,6 @@ class GPU:
         metrics.observe("launch.occupancy", profile.occupancy)
         metrics.observe("launch.mem_transactions",
                         profile.mem_transactions)
-        if profile.trace_deopts:
-            # One flight event per traced launch that saw deopts — not
-            # per deopt, which would put a recorder append inside the
-            # engine's guard-failure loop.
-            self.ctx.events.record("trace.deopt", kernel=kernel.name,
-                                   deopts=profile.trace_deopts)
         return result
 
     def _launch_impl(self, kernel: CompiledKernel, grid: Dim,
@@ -292,28 +279,12 @@ class GPU:
             # Fault site: the driver rejects the launch outright
             # (before any block executes, so no side effects exist).
             injector.check("launch.fail", detail=kernel.name)
-        # Tracing stays off while an injector is armed: every FaultPlan
-        # site then sees the plain interpreter, whose chaos semantics
-        # are the documented ones.
-        trace_counts = None
-        if engine == "traced" and injector is None:
-            trace_counts = {"hits": 0, "misses": 0, "records": 0,
-                            "deopts": 0, "aborts": 0}
         if engine != "serial":
-            try:
-                stats = run_blocks_batched(
-                    kernel.ir, self.spec, self.gmem, cmem, arg_map,
-                    indices, block_dim=block3, grid_dim=grid3,
-                    dynamic_smem=dynamic_smem, plan=plan,
-                    textures=textures, ctx=self.ctx,
-                    trace_counts=trace_counts)
-            finally:
-                # Traces recorded before a kernel fault stay cached,
-                # so their counts are charged either way.
-                if trace_counts is not None:
-                    for name, n in trace_counts.items():
-                        if n:
-                            self.ctx.metrics.inc(f"cache.trace_{name}", n)
+            stats = run_blocks_batched(
+                kernel.ir, self.spec, self.gmem, cmem, arg_map,
+                indices, block_dim=block3, grid_dim=grid3,
+                dynamic_smem=dynamic_smem, plan=plan,
+                textures=textures, ctx=self.ctx)
         else:
             stats = []
             for bidx in indices:
@@ -343,14 +314,9 @@ class GPU:
                     f"uncorrectable ECC error during {kernel.name!r} "
                     f"(device byte offset {flipped})")
         timing = kernel_timing(self.spec, occ, total_blocks, stats)
-        result = LaunchResult(timing=timing, occupancy=occ, grid=grid3,
-                              block=block3, blocks_executed=len(indices),
-                              stats=stats)
-        if trace_counts is not None:
-            result.trace_hits = trace_counts["hits"]
-            result.trace_deopts = trace_counts["deopts"]
-            result.trace_records = trace_counts["records"]
-        return result
+        return LaunchResult(timing=timing, occupancy=occ, grid=grid3,
+                            block=block3, blocks_executed=len(indices),
+                            stats=stats)
 
 
 #: Bound on each context's sampled-launch pick memo; the memo lives on

@@ -54,8 +54,7 @@ EVENT_KINDS: Dict[str, tuple] = {
     "deadline.kill": ("request", "worker"),
     # fleet (its worker deaths are the service's worker.exit/redispatch)
     "fleet.place": ("member", "policy"),
-    # engine / cache
-    "trace.deopt": ("kernel", "deopts"),
+    # caches
     "cache.quarantine": ("path",),
     # free-form marker (demo dumps, tests)
     "note": ("text",),

@@ -54,10 +54,6 @@ class LaunchProfile:
     seconds: float
     bound: str
     engine: str
-    #: Trace-JIT activity (zero unless the launch ran ``"traced"``).
-    trace_hits: int = 0
-    trace_deopts: int = 0
-    trace_records: int = 0
 
     @classmethod
     def from_launch(cls, kernel: Any, result: Any,
@@ -85,11 +81,7 @@ class LaunchProfile:
                    blocks_per_sm=timing.blocks_per_sm,
                    occupancy_limit=occ.limited_by,
                    cycles=timing.cycles, seconds=timing.seconds,
-                   bound=timing.bound, engine=engine,
-                   trace_hits=getattr(result, "trace_hits", 0),
-                   trace_deopts=getattr(result, "trace_deopts", 0),
-                   trace_records=getattr(result, "trace_records", 0),
-                   **counts)
+                   bound=timing.bound, engine=engine, **counts)
 
     def attrs(self) -> Dict[str, Any]:
         """Flat JSON-scalar dict for span attrs / metrics export."""

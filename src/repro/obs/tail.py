@@ -44,7 +44,6 @@ def _demo_dump(path: str) -> str:
     rec.record("worker.kill", worker="w0g1", why="hang")
     rec.record("redispatch", request="r3", attempts=2)
     rec.record("fleet.place", member="gtx680:0", policy="cache_affinity")
-    rec.record("trace.deopt", kernel="matmul", deopts=1)
     rec.record("cache.quarantine", path="plan-1f3.bin")
     rec.record("note", text="demo dump for repro.obs.tail")
     return rec.dump_json(path)

@@ -251,13 +251,11 @@ class Sweeper:
     def cache_report(self) -> Dict[str, int]:
         """Cache activity attributed to the last ``sweep()`` call.
 
-        Exact deltas of the launch-plan, gang-prototype and trace-JIT
-        counters, in :meth:`ExecutionContext.cache_counters` keys
-        (``plan_hits`` / ``gang_misses`` / ``trace_records`` ...).  A
-        traced sweep shows one ``trace_records`` per kernel trace and
-        ``trace_hits`` for every other gang quantum.  A thin view over
-        the ``cache.*`` gauges in :attr:`metrics`; empty before the
-        first call.
+        Exact deltas of the launch-plan and gang-prototype counters, in
+        :meth:`ExecutionContext.cache_counters` keys (``plan_hits`` /
+        ``plan_misses`` / ``gang_hits`` / ``gang_misses``).  A thin
+        view over the ``cache.*`` gauges in :attr:`metrics`; empty
+        before the first call.
         """
         gauges = self.metrics.snapshot()["gauges"]
         return {name[len("cache."):]: int(value)

@@ -1,10 +1,10 @@
-"""Shared / constant / local memory and atomics."""
+"""Shared / constant / local memory, atomics, and dirty epochs."""
 
 import numpy as np
 import pytest
 
 from repro.gpusim.executor import SimError
-from repro.gpusim.memory import MemoryError_
+from repro.gpusim.memory import GlobalMemory, MemoryError_
 from tests.helpers import KernelHarness, run_kernel
 
 rng = np.random.default_rng(11)
@@ -217,3 +217,77 @@ class TestBoundsChecking:
         """
         with pytest.raises(MemoryError_):
             run_kernel(src, 1, 32, np.zeros(4, np.float32))
+
+
+class TestDirtyEpochs:
+    def _mem(self):
+        gmem = GlobalMemory(1 << 16)
+        a = gmem.alloc(256)
+        b = gmem.alloc(256)
+        gmem.write(a, np.full(64, 1, np.int32))
+        gmem.write(b, np.full(64, 2, np.int32))
+        return gmem, a, b
+
+    def test_rollback_restores_only_what_was_noted(self):
+        gmem, a, b = self._mem()
+        gmem.begin_epoch()
+        gmem.note_range(a - gmem._BASE, a - gmem._BASE + 256)
+        gmem.write(a, np.full(64, 9, np.int32))
+        gmem.write(b, np.full(64, 8, np.int32))  # unnoted: survives
+        gmem.rollback_epoch()
+        assert (gmem.read(a, np.int32, 64) == 1).all()
+        assert (gmem.read(b, np.int32, 64) == 8).all()
+        assert gmem.end_epoch() == {"allocs": 0, "wild": 0}
+
+    def test_note_lanes_saves_per_allocation(self):
+        gmem, a, b = self._mem()
+        gmem.begin_epoch()
+        addrs = np.array([[a, a + 64, b + 8, b + 16]], np.uint64)
+        mask = np.ones_like(addrs, bool)
+        gmem.note_lanes(addrs, mask, 4)
+        gmem.write(a, np.full(64, 9, np.int32))
+        gmem.write(b, np.full(64, 8, np.int32))
+        report = gmem.end_epoch()
+        assert report["allocs"] == 2
+        assert report["wild"] == 0
+
+    def test_note_lanes_masked_out_lanes_ignored(self):
+        gmem, a, b = self._mem()
+        gmem.begin_epoch()
+        addrs = np.array([[a, b]], np.uint64)
+        mask = np.array([[True, False]])
+        gmem.note_lanes(addrs, mask, 4)
+        assert gmem.end_epoch() == {"allocs": 1, "wild": 0}
+
+    def test_epoch_rolls_back_new_allocations(self):
+        gmem, a, b = self._mem()
+        gmem.begin_epoch()
+        c = gmem.alloc(128)
+        gmem.write(c, np.full(32, 7, np.int32))
+        gmem.rollback_epoch()
+        assert c not in gmem.allocations
+        # The cursor rewound and the region zeroed: a retry's fresh
+        # allocation lands on the same address with clean bytes.
+        assert gmem.alloc(128) == c
+        assert (gmem.read(c, np.int32, 32) == 0).all()
+
+    def test_epoch_survives_rollback_for_retry(self):
+        # A retry loop rolls back and runs again under the same epoch.
+        gmem, a, b = self._mem()
+        gmem.begin_epoch()
+        for attempt in (3, 4):
+            gmem.note_range(a - gmem._BASE, a - gmem._BASE + 256)
+            gmem.write(a, np.full(64, attempt, np.int32))
+            if attempt == 3:
+                gmem.rollback_epoch()
+        assert (gmem.read(a, np.int32, 64) == 4).all()
+        assert gmem.end_epoch()["allocs"] == 1
+
+    def test_rollback_without_epoch_raises(self):
+        gmem, _, _ = self._mem()
+        with pytest.raises(MemoryError_):
+            gmem.rollback_epoch()
+
+    def test_end_without_epoch_is_noop(self):
+        gmem, _, _ = self._mem()
+        assert gmem.end_epoch() == {"allocs": 0, "wild": 0}

@@ -23,6 +23,7 @@ from repro.apps.piv import PIVProblem
 from repro.apps.template_matching import MatchConfig, MatchProblem
 from repro.gpupf import KernelCache, Pipeline
 from repro.gpusim import GPU, TESLA_C2070
+from repro.gpusim.engine import batch_width
 from repro.obs import (LaunchProfile, MetricsRegistry, Span, Tracer,
                        chrome_trace, current_tracer, metrics_table,
                        summary_tree, validate_chrome, write_trace)
@@ -360,17 +361,23 @@ class TestHarnessTracing:
         request = RunRequest(
             ProblemSpec("template_matching", SMALL_TM, seed=11,
                         memory_bytes=8 << 20),
-            MatchConfig(tile_w=8, tile_h=8, threads=32, engine="traced"),
-            trace=True)
+            MatchConfig(tile_w=8, tile_h=8, threads=32), trace=True)
         result = run_request(request, context=ctx)
         registry = ctx.metrics.counters("cache.")
-        assert len(result.counters) == 9
+        assert set(result.counters) == {"plan_hits", "plan_misses",
+                                        "gang_hits", "gang_misses"}
         assert {key: registry[f"cache.{key}"]
                 for key in result.counters} == result.counters
-        for name in ("trace_hits", "trace_records", "trace_deopts"):
-            assert registry[f"cache.{name}"] == sum(
-                getattr(p, name) for p in result.profiles), name
-        assert registry["cache.trace_records"] > 0
+        profiles = result.profiles
+        assert profiles and all(p.engine == "batched" for p in profiles)
+        # One plan lookup per launch, one gang lookup per gang batch.
+        assert registry["cache.plan_hits"] + \
+            registry["cache.plan_misses"] == len(profiles)
+        width = batch_width()
+        assert registry["cache.gang_hits"] + \
+            registry["cache.gang_misses"] == sum(
+                -(-p.blocks_executed // width) for p in profiles)
+        assert registry["cache.plan_misses"] > 0
 
 
 class TestSweepObservability:
@@ -505,11 +512,8 @@ class TestCounterNamespace:
         snap = ctx.metrics_snapshot()
         for key in ("cache.plan_hits", "cache.plan_misses",
                     "cache.gang_hits", "cache.gang_misses",
-                    "cache.kernel_hits", "cache.kernel_misses",
-                    "cache.trace_hits", "cache.trace_deopts"):
+                    "cache.kernel_hits", "cache.kernel_misses"):
             assert key in snap["counters"], key
         flat = ctx.cache_counters()
         assert set(flat) == {"plan_hits", "plan_misses", "gang_hits",
-                             "gang_misses", "trace_hits",
-                             "trace_misses", "trace_records",
-                             "trace_deopts", "trace_aborts"}
+                             "gang_misses"}

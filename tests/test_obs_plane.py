@@ -232,14 +232,14 @@ class TestFlightRecorder:
 
     def test_extend_resequences_and_reoriginates(self):
         worker = FlightRecorder(origin="worker")
-        worker.record("trace.deopt", kernel="k", deopts=1)
+        worker.record("cache.quarantine", path="k.bin")
         shipped = worker.since(0)
         sup = FlightRecorder(origin="supervisor")
         sup.record("worker.spawn", worker="w0g1")
         assert sup.extend(shipped, origin="w0g1") == 1
         events = sup.events()
         assert [e["seq"] for e in events] == [1, 2]
-        assert events[1]["kind"] == "trace.deopt"
+        assert events[1]["kind"] == "cache.quarantine"
         assert events[1]["origin"] == "w0g1"
         assert not validate_events(events)
 
@@ -548,8 +548,8 @@ class TestFleetTelemetry:
             results = fleet.run_requests([piv_request() for _ in range(3)])
             health = fleet.health_report()
         for result in results:
-            assert {"trace_hits", "trace_deopts", "trace_records"} \
-                <= set(result.counters)
+            assert set(result.counters) == {"plan_hits", "plan_misses",
+                                            "gang_hits", "gang_misses"}
         assert validate_events(health["flight"]["events"]) == []
         kinds = [e["kind"] for e in health["flight"]["events"]]
         assert kinds.count("fleet.place") == 3
